@@ -8,20 +8,17 @@ and a small CLI.
 """
 
 from .bisectors import (
-    ApexAngles,
     BisectorTriple,
     SignedBisectorTriple,
-    apex_angles,
-    bisector_foot,
     bisector_length,
     bisector_lengths,
     signed_bisectors,
 )
 from .errors import (
-    CollinearInput,
     DegenerateTriangle,
     DomainError,
     GeometryError,
+    NumericalError,
     OutsideInterior,
     UsageError,
     VertexCoincidence,
@@ -30,6 +27,7 @@ from .geom import (
     BaryCoords,
     DistanceTriple,
     Point2,
+    PointFrame,
     SignedDistanceTriple,
     Triangle,
     barycentric,
@@ -55,6 +53,7 @@ from .inequalities import (
     InequalityReport,
     Term,
     WeightTriple,
+    bound_report,
     classic_reports,
     dergiades_report,
     evaluate,
@@ -67,10 +66,8 @@ from .regions import Region, classify, classify_pattern, sign_pattern
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApexAngles",
     "BaryCoords",
     "BisectorTriple",
-    "CollinearInput",
     "DegenerateTriangle",
     "DistanceTriple",
     "DomainError",
@@ -80,8 +77,10 @@ __all__ = [
     "IdentityResiduals",
     "InequalityId",
     "InequalityReport",
+    "NumericalError",
     "OutsideInterior",
     "Point2",
+    "PointFrame",
     "Region",
     "ScanGrid",
     "ScanRow",
@@ -92,11 +91,10 @@ __all__ = [
     "UsageError",
     "VertexCoincidence",
     "WeightTriple",
-    "apex_angles",
     "barycentric",
-    "bisector_foot",
     "bisector_length",
     "bisector_lengths",
+    "bound_report",
     "classic_reports",
     "classify",
     "classify_pattern",

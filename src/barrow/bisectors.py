@@ -1,4 +1,4 @@
-"""Apex angles at a point and the angle bisectors toward the triangle sides.
+"""Angle bisectors from a point toward the triangle sides.
 
 For a point M and a side, say BC, the quantity of interest is the length of
 the internal bisector of the angle ∠BMC, measured from M to where it meets
@@ -23,20 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CollinearInput, VertexCoincidence
-from .geom import Point2, Triangle, barycentric, dist
+from .errors import NumericalError, VertexCoincidence
+from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, dist
 
-#: M counts as coinciding with a vertex below this fraction of the local scale.
-COINCIDENCE_FACTOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ApexAngles:
-    """Angles subtended at M by the three sides: ∠BMC, ∠CMA, ∠AMB."""
-
-    alpha_M: float
-    beta_M: float
-    gamma_M: float
+#: Vertex indices of the endpoints of side k (0: BC, 1: CA, 2: AB).
+SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -61,56 +52,8 @@ class SignedBisectorTriple:
     lp_c: float
 
 
-def _check_not_vertex(T: Triangle, M: Point2) -> None:
-    threshold = COINCIDENCE_FACTOR * T.diameter
-    for name, V in (("A", T.A), ("B", T.B), ("C", T.C)):
-        if dist(M, V) <= threshold:
-            raise VertexCoincidence(f"point {M} coincides with vertex {name}", vertex=name)
-
-
-def _ray_angle(M: Point2, P: Point2, Q: Point2) -> float:
-    """Angle ∠PMQ in [0, π], stable near both 0 and π."""
-    ux, uy = P.x - M.x, P.y - M.y
-    vx, vy = Q.x - M.x, Q.y - M.y
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
-    return math.atan2(abs(cross), dot)
-
-
-def apex_angles(T: Triangle, M: Point2) -> ApexAngles:
-    """The three angles at which M sees the sides BC, CA, AB.
-
-    Collinear configurations are fine: an angle is exactly π when M lies
-    strictly between the two vertices and 0 when it lies outside on their
-    line.  Only (near-)coincidence with a vertex is rejected.
-    """
-    _check_not_vertex(T, M)
-    return ApexAngles(
-        alpha_M=_ray_angle(M, T.B, T.C),
-        beta_M=_ray_angle(M, T.C, T.A),
-        gamma_M=_ray_angle(M, T.A, T.B),
-    )
-
-
-def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
-    """Length of the internal bisector of ∠BMC from M to line BC.
-
-    Returns the limit value when M is exactly on line BC: 0 on [BC], the
-    harmonic-mean scale 2 R_B R_C/(R_B + R_C) outside the segment.
-    """
-    R_B = dist(M, B)
-    R_C = dist(M, C)
-    side = dist(B, C)
-    threshold = COINCIDENCE_FACTOR * side
-    if R_B <= threshold:
-        raise VertexCoincidence(f"point {M} coincides with {B}", vertex="B")
-    if R_C <= threshold:
-        raise VertexCoincidence(f"point {M} coincides with {C}", vertex="C")
-
-    ux, uy = B.x - M.x, B.y - M.y
-    vx, vy = C.x - M.x, C.y - M.y
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
+def _bisector(R_B: float, R_C: float, cross: float, dot: float) -> float:
+    """Both closed forms from the distances to B and C and (B-M)×(C-M), (B-M)·(C-M)."""
     scale = 2.0 * R_B * R_C / (R_B + R_C)
 
     if cross == 0.0:
@@ -131,60 +74,62 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
     # covers the half-angle form's error (~eps * scale) next to the segment,
     # where both values are genuinely tiny.
     if abs(half_angle_form - radical_form) > 1e-10 * max(half_angle_form, radical_form) + 1e-13 * scale:
-        raise AssertionError(
+        raise NumericalError(
             f"bisector closed forms disagree: {half_angle_form!r} vs {radical_form!r} "
-            f"for M={M}, B={B}, C={C}"
+            f"(R={R_B!r}, {R_C!r}, cross={cross!r}, dot={dot!r})"
         )
     return half_angle_form
 
 
-def bisector_foot(M: Point2, B: Point2, C: Point2) -> Point2:
-    """Point where the bisector of ∠BMC meets line BC.
+def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
+    """Length of the internal bisector of ∠BMC from M to line BC.
 
-    The bisector divides the opposite side in the ratio of the adjacent
-    sides, |BA′| : |A′C| = |MB| : |MC|, giving the foot directly without
-    constructing the bisector ray.  Undefined when M is on line BC.
+    Returns the limit value when M is exactly on line BC: 0 on [BC], the
+    harmonic-mean scale 2 R_B R_C/(R_B + R_C) outside the segment.
     """
     R_B = dist(M, B)
     R_C = dist(M, C)
-    side = dist(B, C)
-    threshold = COINCIDENCE_FACTOR * side
+    threshold = COINCIDENCE_FACTOR * dist(B, C)
     if R_B <= threshold:
         raise VertexCoincidence(f"point {M} coincides with {B}", vertex="B")
     if R_C <= threshold:
         raise VertexCoincidence(f"point {M} coincides with {C}", vertex="C")
-    cross = (B.x - M.x) * (C.y - M.y) - (B.y - M.y) * (C.x - M.x)
-    if cross == 0.0:
-        raise CollinearInput(f"point {M} lies on the line through {B} and {C}")
-    s = R_B + R_C
-    return Point2((R_C * B.x + R_B * C.x) / s, (R_C * B.y + R_B * C.y) / s)
+    ux, uy = B.x - M.x, B.y - M.y
+    vx, vy = C.x - M.x, C.y - M.y
+    return _bisector(R_B, R_C, ux * vy - uy * vx, ux * vx + uy * vy)
+
+
+def side_bisector(F: PointFrame, k: int) -> float:
+    """Unsigned bisector from the frame's point toward side k; M must not be an endpoint."""
+    i, j = SIDE_ENDS[k]
+    return _bisector(F.R[i], F.R[j], F.cross[k], F.dot[k])
+
+
+def frame_bisectors(F: PointFrame) -> tuple[float, float, float]:
+    """Unsigned bisector lengths toward sides a, b, c of a non-vertex point."""
+    F.check_not_vertex()
+    return (side_bisector(F, 0), side_bisector(F, 1), side_bisector(F, 2))
+
+
+def frame_signed_bisectors(F: PointFrame) -> tuple[float, float, float]:
+    """Bisector lengths signed by the barycentric coordinates.
+
+    Coordinate and collinearity branch read the same cross product, so the
+    three cases (positive, negative, exactly on the line) agree by construction.
+    """
+    l_a, l_b, l_c = frame_bisectors(F)
+    return (
+        -l_a if F.u < 0.0 else l_a,
+        -l_b if F.v < 0.0 else l_b,
+        -l_c if F.w < 0.0 else l_c,
+    )
 
 
 def bisector_lengths(T: Triangle, M: Point2) -> BisectorTriple:
     """Unsigned bisector lengths from M toward all three sides."""
-    _check_not_vertex(T, M)
-    return BisectorTriple(
-        l_a=bisector_length(M, T.B, T.C),
-        l_b=bisector_length(M, T.C, T.A),
-        l_c=bisector_length(M, T.A, T.B),
-    )
+    return BisectorTriple(*frame_bisectors(PointFrame(T, M)))
 
 
 def signed_bisectors(T: Triangle, M: Point2) -> SignedBisectorTriple:
-    """Bisector lengths carrying the side-of-sideline sign.
-
-    The sign is read off the matching barycentric coordinate, which is
-    computed from the same cross product as the collinearity branch inside
-    ``bisector_length``, so the three cases (positive, negative, exactly on
-    the line) are mutually consistent by construction.
-    """
-    _check_not_vertex(T, M)
-    bc = barycentric(T, M)
-    l_a = bisector_length(M, T.B, T.C)
-    l_b = bisector_length(M, T.C, T.A)
-    l_c = bisector_length(M, T.A, T.B)
-    return SignedBisectorTriple(
-        lp_a=-l_a if bc.u < 0.0 else l_a,
-        lp_b=-l_b if bc.v < 0.0 else l_b,
-        lp_c=-l_c if bc.w < 0.0 else l_c,
-    )
+    """Bisector lengths from M signed by the side of each sideline M lies on."""
+    return SignedBisectorTriple(*frame_signed_bisectors(PointFrame(T, M)))

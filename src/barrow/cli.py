@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .errors import GeometryError, OutsideInterior, UsageError
-from .geom import Point2, Triangle, barycentric
+from .errors import GeometryError, UsageError
+from .geom import Point2, PointFrame, Triangle
 from .harness import (
     TRIANGLE_SHAPES,
     FuzzConfig,
@@ -24,13 +25,8 @@ from .harness import (
     grid_scan,
     tightness_search,
 )
-from .inequalities import (
-    InequalityId,
-    classic_reports,
-    dergiades_report,
-    evaluate,
-)
-from .regions import classify
+from .inequalities import InequalityId, bound_report
+from .regions import classify_frame
 from .svgmap import render_region_map
 
 CSV_HEADER = "x,y,region,R_A,R_B,R_C,lp_a,lp_b,lp_c,lhs,rhs,slack"
@@ -56,9 +52,17 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     if len(parts) != count:
         raise UsageError(f"{what} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad {what} {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"bad {what} {text!r}: not finite")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --eps and --tol: any finite float, negative included."""
+    return _parse_floats(text, 1, "value")[0]
 
 
 def parse_triangle(text: str) -> tuple[float, ...]:
@@ -103,26 +107,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="region of a point in the sideline partition")
     triangle_arg(p)
     p.add_argument("--point", required=True, metavar='"x,y"', help="query point")
-    p.add_argument("--eps", type=float, default=1e-12,
+    p.add_argument("--eps", type=_finite_float, default=1e-12,
                    help="boundary snap threshold on barycentric coordinates")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("eval", help="evaluate an inequality at a point")
     triangle_arg(p)
     p.add_argument("--point", required=True, metavar='"x,y"', help="query point")
     p.add_argument("--inequality", choices=sorted(_INEQUALITY_CHOICES), default="signed-barrow",
                    help="which bound to evaluate (default: signed-barrow)")
-    p.add_argument("--eps", type=float, default=1e-12, help="classification snap threshold")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--eps", type=_finite_float, default=1e-12,
+                   help="classification snap threshold")
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="scale-relative tolerance for the tightness flag")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = sub.add_parser("fuzz", help="stratified non-negativity fuzz")
     p.add_argument("--n", type=int, default=1000, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="seed of the run")
     p.add_argument("--shape", choices=TRIANGLE_SHAPES, default="random",
                    help="triangle population to draw from")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="scale-relative violation tolerance")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers (report is worker-count independent)")
@@ -144,7 +147,6 @@ def build_parser() -> _Parser:
                    help="which bound to minimize (default: signed-barrow)")
     p.add_argument("--starts", type=int, default=14, help="multi-start count")
     p.add_argument("--seed", type=int, default=0, help="seed for the start points")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     return parser
 
@@ -156,10 +158,9 @@ def _triangle_from_args(args) -> Triangle:
 
 def _cmd_classify(args) -> int:
     T = _triangle_from_args(args)
-    M = Point2(*parse_point(args.point))
-    region = classify(T, M, eps=args.eps)
-    bc = barycentric(T, M)
-    _print_json({"region": region.value, "bary": [bc.u, bc.v, bc.w]})
+    F = PointFrame(T, Point2(*parse_point(args.point)))
+    region = classify_frame(F, eps=args.eps)
+    _print_json({"region": region.value, "bary": [F.u, F.v, F.w]})
     return 0
 
 
@@ -167,18 +168,7 @@ def _cmd_eval(args) -> int:
     T = _triangle_from_args(args)
     M = Point2(*parse_point(args.point))
     which = _INEQUALITY_CHOICES[args.inequality]
-    if which is InequalityId.DERGIADES3:
-        report = dergiades_report(T, M, eps=args.eps, tol_factor=args.tol)
-    elif which in (InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2):
-        barrow, erdos = classic_reports(T, M, eps=args.eps, tol_factor=args.tol)
-        report = barrow if which is InequalityId.BARROW1 else erdos
-    else:
-        report = evaluate(T, M, eps=args.eps, tol_factor=args.tol)
-        if which is InequalityId.LU_WEIGHTED13 and report.inequality is not which:
-            raise OutsideInterior(
-                f"point {M} classifies as {report.region.value}; "
-                "the interior weighted bound does not apply"
-            )
+    report = bound_report(which, T, M, eps=args.eps, tol_factor=args.tol)
     _print_json(report.to_json_dict())
     return 0
 
@@ -219,6 +209,13 @@ def _default_bbox(T: Triangle) -> tuple[float, float, float, float]:
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="ascii", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _cmd_scan(args) -> int:
     T = _triangle_from_args(args)
     if args.bbox is not None:
@@ -228,13 +225,13 @@ def _cmd_scan(args) -> int:
         bbox = _default_bbox(T)
     grid = grid_scan(T, bbox, args.resolution)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as handle:
+        with _open_output(args.out) as handle:
             write_csv(grid, handle)
     else:
         write_csv(grid, sys.stdout)
     if args.svg:
         svg = render_region_map(grid, T, heatmap=args.heatmap)
-        with open(args.svg, "w", encoding="ascii", newline="") as handle:
+        with _open_output(args.svg) as handle:
             handle.write(svg)
     return 0
 

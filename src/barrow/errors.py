@@ -20,16 +20,16 @@ class VertexCoincidence(GeometryError):
         self.vertex = vertex
 
 
-class CollinearInput(GeometryError):
-    """The query point lies on the carrier line, where a foot point is undefined."""
-
-
 class OutsideInterior(GeometryError):
     """An interior-only inequality was requested for a point outside the open triangle."""
 
 
 class DomainError(GeometryError):
     """Scalar arguments outside the documented domain (negative lengths, bad angles...)."""
+
+
+class NumericalError(GeometryError):
+    """Two independent float evaluations of one quantity disagree beyond their tolerance."""
 
 
 class UsageError(Exception):

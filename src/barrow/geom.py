@@ -2,8 +2,8 @@
 
 Everything here is pure 64-bit float geometry.  Signs of barycentric
 coordinates carry the semantic payload for the rest of the library, so they
-are always derived from one source of truth: the signed area of a vertex
-triple.
+are always derived from one source of truth: the cross product of two
+M-relative vertex vectors, computed once per point in a :class:`PointFrame`.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTriangle
+from .errors import DegenerateTriangle, VertexCoincidence
 
 #: A triangle is rejected when |signed area| <= this factor times diameter^2.
 DEGENERACY_FACTOR = 1e-12
+
+#: M counts as coinciding with a vertex at or below this fraction of the diameter.
+COINCIDENCE_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,35 +127,83 @@ class SignedDistanceTriple:
     d_c: float
 
 
-def barycentric(T: Triangle, M: Point2) -> BaryCoords:
-    """Normalized barycentric coordinates of M with respect to T.
+def _keep_sign(q: float, cross: float, s: float) -> float:
+    """``q``, a ratio of ``cross``, kept off zero unless ``cross`` is zero.
 
-    Computed as signed-area ratios of vertex triples anchored at M, so each
-    coordinate's sign, and in particular its exact zero, comes from the same
-    float cross product every other M-anchored predicate evaluates (the sign
-    convention of the region classifier and of every signed quantity
-    downstream).
+    An underflowed ratio becomes the smallest subnormal with the sign of
+    ``s * cross``, so all ratios of one cross product share sign and zero.
     """
-    u = signed_area(M, T.B, T.C) / T.area
-    v = signed_area(M, T.C, T.A) / T.area
-    w = signed_area(M, T.A, T.B) / T.area
-    return BaryCoords(u, v, w)
+    if q == 0.0 and cross != 0.0:
+        return math.copysign(5e-324, s * cross)
+    return q
+
+
+class PointFrame:
+    """What the library reads about a point M against a triangle T, computed once.
+
+    With the M-relative vertex vectors a = A - M, b = B - M, c = C - M:
+    ``R`` = (|a|, |b|, |c|) with sum ``R_sum``; ``cross`` = (b×c, c×a, a×b),
+    twice the signed areas of (M, B, C), (M, C, A), (M, A, B); ``dot`` =
+    (b·c, c·a, a·b); ``u, v, w`` the barycentric coordinates, the crosses
+    over twice the area (so a frame reads like :class:`BaryCoords`);
+    ``vertex`` the index of the nearest vertex if M lies within
+    ``COINCIDENCE_FACTOR`` of the diameter of it, else None.  Region, signed
+    distances, bisectors and weights all derive from these, so every sign
+    and exact zero comes from one cross product.
+    """
+
+    __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex")
+
+    def __init__(self, T: Triangle, M: Point2):
+        ax, ay = T.A.x - M.x, T.A.y - M.y
+        bx, by = T.B.x - M.x, T.B.y - M.y
+        cx, cy = T.C.x - M.x, T.C.y - M.y
+        self.T = T
+        self.M = M
+        self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
+        self.R_sum = R[0] + R[1] + R[2]
+        self.cross = k = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
+        self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)
+        s = T.orient_sign
+        self.u = _keep_sign(k[0] / 2.0 / T.area, k[0], s)
+        self.v = _keep_sign(k[1] / 2.0 / T.area, k[1], s)
+        self.w = _keep_sign(k[2] / 2.0 / T.area, k[2], s)
+        nearest = min(R)
+        self.vertex = R.index(nearest) if nearest <= COINCIDENCE_FACTOR * T.diameter else None
+
+    def check_not_vertex(self, allow: int | None = None) -> None:
+        """Raise VertexCoincidence if M sits on a vertex other than ``allow``."""
+        if self.vertex is not None and self.vertex != allow:
+            name = "ABC"[self.vertex]
+            raise VertexCoincidence(f"point {self.M} coincides with vertex {name}", vertex=name)
+
+    def signed_distances(self) -> tuple[float, float, float]:
+        """Signed distances to the sidelines BC, CA, AB; see :class:`SignedDistanceTriple`."""
+        T = self.T
+        s = T.orient_sign
+        k_a, k_b, k_c = self.cross
+        return (
+            _keep_sign(s * 2.0 * (k_a / 2.0) / T.a, k_a, s),
+            _keep_sign(s * 2.0 * (k_b / 2.0) / T.b, k_b, s),
+            _keep_sign(s * 2.0 * (k_c / 2.0) / T.c, k_c, s),
+        )
+
+
+def barycentric(T: Triangle, M: Point2) -> BaryCoords:
+    """Normalized barycentric coordinates of M with respect to T (see :class:`PointFrame`)."""
+    F = PointFrame(T, M)
+    return BaryCoords(F.u, F.v, F.w)
 
 
 def vertex_distances(T: Triangle, M: Point2) -> DistanceTriple:
     """Euclidean distances from M to the three vertices."""
-    return DistanceTriple(dist(M, T.A), dist(M, T.B), dist(M, T.C))
+    return DistanceTriple(*PointFrame(T, M).R)
 
 
 def signed_distances(T: Triangle, M: Point2) -> SignedDistanceTriple:
     """Signed distances from M to the three sidelines.
 
-    |d_x| is the ordinary point-to-line distance; the sign matches the sign
-    of the barycentric coordinate exactly (both derive from the same signed
-    area, up to the positive factor 2 / (side * |area's sign|)).
+    |d_x| is the ordinary point-to-line distance; its sign and exact zero are
+    those of the barycentric coordinate, both ratios of one cross product.
     """
-    s = T.orient_sign
-    d_a = s * 2.0 * signed_area(M, T.B, T.C) / T.a
-    d_b = s * 2.0 * signed_area(M, T.C, T.A) / T.b
-    d_c = s * 2.0 * signed_area(M, T.A, T.B) / T.c
-    return SignedDistanceTriple(d_a, d_b, d_c)
+    return SignedDistanceTriple(*PointFrame(T, M).signed_distances())

@@ -14,18 +14,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, GeometryError, OutsideInterior
-from .geom import Point2, Triangle, barycentric, vertex_distances
+from .errors import DomainError, GeometryError
+from .geom import Point2, PointFrame, Triangle, barycentric
 from .inequalities import (
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
     VERTEX_IDS,
     InequalityId,
-    classic_reports,
-    dergiades_report,
-    evaluate,
+    bound_report,
+    frame_report,
 )
-from .regions import DEFAULT_EPS, OPEN_PATTERNS, Region, classify
+from .regions import DEFAULT_EPS, OPEN_PATTERNS, Region, classify, classify_frame
 
 #: Sampling strata, in the canonical order used to resolve mix proportions.
 STRATA = ("lambda0", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6", "sideline", "near-vertex")
@@ -194,9 +193,6 @@ def _sample_region_point(rng: random.Random, T: Triangle, region: Region, eps: f
     return best
 
 
-_SIDELINE_FRAMES = ("a", "b", "c")
-
-
 def _sideline_frame(T: Triangle, k: int) -> tuple[Point2, Point2, Point2]:
     """Endpoints and opposite vertex of sideline k (0: BC, 1: CA, 2: AB)."""
     return ((T.B, T.C, T.A), (T.C, T.A, T.B), (T.A, T.B, T.C))[k]
@@ -270,14 +266,17 @@ def _run_sample(config: FuzzConfig, index: int):
         band = SIDELINE_HEIGHT_BAND
     T = sample_triangle(rng, config.triangle_shape, height_band=band)
     M = sample_point(rng, T, stratum)
-    scale = vertex_distances(T, M).sum()
+    F = PointFrame(T, M)
+    region = classify_frame(F)
+    tol = config.tol_factor
     reports = [
-        evaluate(T, M, tol_factor=config.tol_factor),
-        dergiades_report(T, M, tol_factor=config.tol_factor),
+        frame_report(InequalityId.SIGNED_BARROW30, F, region, tol),
+        frame_report(InequalityId.DERGIADES3, F, region, tol),
     ]
     if reports[0].region is Region.LAMBDA0:
-        reports.extend(classic_reports(T, M, tol_factor=config.tol_factor))
-    return T, M, scale, reports
+        reports.append(frame_report(InequalityId.BARROW1, F, region, tol))
+        reports.append(frame_report(InequalityId.ERDOS_MORDELL2, F, region, tol))
+    return T, M, F.R_sum, reports
 
 
 def _new_aggregate() -> dict:
@@ -412,17 +411,9 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
 def _objective_for(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
     def f(x: float, y: float) -> float:
         try:
-            M = Point2(x, y)
-            if inequality is InequalityId.DERGIADES3:
-                return dergiades_report(T, M).slack
-            if inequality is InequalityId.SIGNED_BARROW30:
-                return evaluate(T, M).slack
-            if inequality is InequalityId.LU_WEIGHTED13:
-                rep = evaluate(T, M)
-                return rep.slack if rep.region is Region.LAMBDA0 else math.inf
-            barrow, erdos = classic_reports(T, M)
-            return barrow.slack if inequality is InequalityId.BARROW1 else erdos.slack
-        except (OutsideInterior, GeometryError, ValueError):
+            return bound_report(inequality, T, Point2(x, y)).slack
+        except (GeometryError, ValueError):
+            # Off the bound's domain, or a coordinate the simplex sent to inf.
             return math.inf
 
     return f
@@ -521,6 +512,8 @@ def tightness_search(
         )
         if val < best_val:
             best_pt, best_val = pt, val
+    if best_pt is None:
+        raise DomainError(f"the slack of {inequality.value} is not finite at any start")
     return Point2(best_pt[0], best_pt[1]), best_val
 
 
@@ -571,18 +564,12 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
         y = y0 + (iy + 0.5) * dy
         for ix in range(resolution):
             x = x0 + (ix + 0.5) * dx
-            M = Point2(x, y)
-            rep = evaluate(T, M)
-            R = vertex_distances(T, M)
-            lp = {"a": math.nan, "b": math.nan, "c": math.nan}
-            for term in rep.terms:
-                lp[term.side] = term.value
-            rows.append(
-                ScanRow(
-                    x, y, rep.region.value,
-                    R.R_A, R.R_B, R.R_C,
-                    lp["a"], lp["b"], lp["c"],
-                    rep.lhs, rep.rhs, rep.slack,
-                )
-            )
+            F = PointFrame(T, Point2(x, y))
+            rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
+            if rep.inequality in VERTEX_IDS:
+                (term,) = rep.terms
+                lp = tuple(term.value if side == term.side else math.nan for side in "abc")
+            else:
+                lp = tuple(term.value for term in rep.terms)
+            rows.append(ScanRow(x, y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

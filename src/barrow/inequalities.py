@@ -8,7 +8,9 @@ of the repository tests), and a per-side breakdown of the right-hand side.
 The central evaluator is :func:`evaluate`, which dispatches on the region of
 the query point: the weighted bisector bound in the interior, its
 signed-bisector extension in the strip and wedge regions, and the reduced
-two-distance bound when the point sits on a vertex.
+two-distance bound when the point sits on a vertex.  Every named bound is
+an entry of one table, :data:`BOUNDS`, that maps its identifier to its
+domain and to its evaluator on a :class:`~barrow.geom.PointFrame`.
 """
 
 from __future__ import annotations
@@ -16,19 +18,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .bisectors import bisector_length, bisector_lengths, signed_bisectors
+from .bisectors import SIDE_ENDS, frame_bisectors, frame_signed_bisectors, side_bisector
 from .errors import DomainError, OutsideInterior, VertexCoincidence
-from .geom import DistanceTriple, Point2, Triangle, signed_distances, vertex_distances
-from .regions import DEFAULT_EPS, Region, classify
+from .geom import DistanceTriple, Point2, PointFrame, Triangle
+from .regions import DEFAULT_EPS, Region, classify_frame
 
 #: |slack| below this fraction of (R_A+R_B+R_C) is reported as an equality case.
 DEFAULT_TOL_FACTOR = 1e-9
-
-#: Vertex proximity below this fraction of the diameter routes to the
-#: two-distance vertex bound (the interior weights diverge as an R -> 0).
-VERTEX_ROUTE_FACTOR = 1e-12
 
 
 class InequalityId(enum.Enum):
@@ -42,15 +40,6 @@ class InequalityId(enum.Enum):
     VERTEX_A14 = "VertexA14"
     VERTEX_B15 = "VertexB15"
     VERTEX_C16 = "VertexC16"
-
-
-#: Inequalities defined only pointwise at a vertex (no 2-D domain to search).
-VERTEX_IDS = frozenset({InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16})
-
-#: Inequalities restricted to the open interior.
-INTERIOR_IDS = frozenset(
-    {InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2, InequalityId.LU_WEIGHTED13}
-)
 
 
 @dataclass(frozen=True)
@@ -234,6 +223,11 @@ def identity_residuals(p: float, q: float, r: float, beta: float, alpha: float) 
     return IdentityResiduals(lagrange, case1, case2, discriminant)
 
 
+def _weight(x: float, y: float) -> float:
+    """sqrt(y/x) + sqrt(x/y), the t + 1/t weight pairing two vertex distances."""
+    return math.sqrt(y / x) + math.sqrt(x / y)
+
+
 def lu_weights(R: DistanceTriple) -> WeightTriple:
     """Weights sqrt(R_y/R_x) + sqrt(R_x/R_y) pairing the two distances off each side.
 
@@ -245,11 +239,111 @@ def lu_weights(R: DistanceTriple) -> WeightTriple:
             raise VertexCoincidence(
                 f"distance to vertex {name} is {value}; weights are undefined there", vertex=name
             )
-    return WeightTriple(
-        w_a=math.sqrt(R.R_C / R.R_B) + math.sqrt(R.R_B / R.R_C),
-        w_b=math.sqrt(R.R_C / R.R_A) + math.sqrt(R.R_A / R.R_C),
-        w_c=math.sqrt(R.R_A / R.R_B) + math.sqrt(R.R_B / R.R_A),
+    return WeightTriple(_weight(R.R_B, R.R_C), _weight(R.R_A, R.R_C), _weight(R.R_B, R.R_A))
+
+
+_TWO = (2.0, 2.0, 2.0)
+_VERTEX_REGIONS = (Region.VERTEX_A, Region.VERTEX_B, Region.VERTEX_C)
+_VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16)
+
+
+def _barrow(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+    ell = frame_bisectors(F)
+    return _build_report(InequalityId.BARROW1, region, F.R_sum, _TWO, ell, tol_factor=tol)
+
+
+def _erdos_mordell(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+    d = F.signed_distances()
+    return _build_report(InequalityId.ERDOS_MORDELL2, region, F.R_sum, _TWO, d, tol_factor=tol)
+
+
+def _dergiades(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+    T = F.T
+    weights = (T.c / T.b + T.b / T.c, T.c / T.a + T.a / T.c, T.a / T.b + T.b / T.a)
+    d = F.signed_distances()
+    return _build_report(InequalityId.DERGIADES3, region, F.R_sum, weights, d, tol_factor=tol)
+
+
+def _weighted(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+    """The weighted bound with signed bisectors at a non-vertex point.
+
+    One arithmetic path for both regimes, so the interior report is
+    bit-identical to what the signed formula yields there.
+    """
+    R_A, R_B, R_C = F.R
+    weights = (_weight(R_B, R_C), _weight(R_A, R_C), _weight(R_B, R_A))
+    lp = frame_signed_bisectors(F)
+    interior = region is Region.LAMBDA0
+    inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30
+    return _build_report(inequality, region, F.R_sum, weights, lp, tol_factor=tol)
+
+
+def _vertex_report(F: PointFrame, k: int, tol: float) -> InequalityReport:
+    """Two-distance bound at (or numerically on top of) vertex k.
+
+    Only the bisector toward the side opposite the coincident vertex stays
+    well-defined, so the report has a single right-hand-side term.
+    """
+    F.check_not_vertex(allow=k)
+    i, j = SIDE_ENDS[k]
+    R_i, R_j = F.R[i], F.R[j]
+    return _build_report(
+        _VERTEX_BOUNDS[k], _VERTEX_REGIONS[k], R_i + R_j, (_weight(R_i, R_j),),
+        (side_bisector(F, k),), sides=("abc"[k],), tol_factor=tol, scale=F.R_sum,
     )
+
+
+def _signed_barrow(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+    if region.is_vertex:
+        return _vertex_report(F, _VERTEX_REGIONS.index(region), tol)
+    if F.vertex is not None:
+        # Numerically on a vertex even though the sign pattern says otherwise
+        # (possible for thin triangles); the weights are unusable there.
+        return _vertex_report(F, F.vertex, tol)
+    return _weighted(F, region, tol)
+
+
+#: Every bound that can be requested by name: whether it is interior-only,
+#: and its evaluator ``(frame, region, tol_factor) -> report``.  The vertex
+#: bounds are absent: each holds at one point, where the signed bound routes.
+BOUNDS: dict[InequalityId, tuple[bool, Callable[[PointFrame, Region, float], InequalityReport]]] = {
+    InequalityId.BARROW1: (True, _barrow),
+    InequalityId.ERDOS_MORDELL2: (True, _erdos_mordell),
+    InequalityId.DERGIADES3: (False, _dergiades),
+    InequalityId.LU_WEIGHTED13: (True, _weighted),
+    InequalityId.SIGNED_BARROW30: (False, _signed_barrow),
+}
+
+#: Inequalities restricted to the open interior.
+INTERIOR_IDS = frozenset(i for i, (interior_only, _) in BOUNDS.items() if interior_only)
+
+#: Inequalities defined only pointwise at a vertex (no 2-D domain to search).
+VERTEX_IDS = frozenset(InequalityId).difference(BOUNDS)
+
+
+def frame_report(
+    inequality: InequalityId, F: PointFrame, region: Region, tol_factor: float = DEFAULT_TOL_FACTOR
+) -> InequalityReport:
+    """Report of one bound of :data:`BOUNDS` at the frame's point, which lies in ``region``.
+
+    An interior-only bound raises OutsideInterior off the open interior and
+    VertexCoincidence on a vertex.
+    """
+    interior_only, evaluator = BOUNDS[inequality]
+    if interior_only:
+        if region is not Region.LAMBDA0:
+            raise OutsideInterior(f"point {F.M} classifies as {region.value}, not the interior")
+        F.check_not_vertex()
+    return evaluator(F, region, tol_factor)
+
+
+def bound_report(
+    inequality: InequalityId, T: Triangle, M: Point2, eps: float = DEFAULT_EPS,
+    tol_factor: float = DEFAULT_TOL_FACTOR,
+) -> InequalityReport:
+    """Report of one bound of :data:`BOUNDS` at M, classified with ``eps``."""
+    F = PointFrame(T, M)
+    return frame_report(inequality, F, classify_frame(F, eps), tol_factor)
 
 
 def dergiades_report(
@@ -262,17 +356,7 @@ def dergiades_report(
     cyclically).  Signed distances make the bound hold for every point, not
     just interior ones.
     """
-    R = vertex_distances(T, M)
-    d = signed_distances(T, M)
-    weights = (T.c / T.b + T.b / T.c, T.c / T.a + T.a / T.c, T.a / T.b + T.b / T.a)
-    return _build_report(
-        InequalityId.DERGIADES3,
-        classify(T, M, eps),
-        lhs=R.sum(),
-        weights=weights,
-        values=(d.d_a, d.d_b, d.d_c),
-        tol_factor=tol_factor,
-    )
+    return bound_report(InequalityId.DERGIADES3, T, M, eps, tol_factor)
 
 
 def classic_reports(
@@ -285,63 +369,11 @@ def classic_reports(
     Restricted to the open interior, where both right-hand sides are sums of
     positive terms.
     """
-    region = classify(T, M, eps)
-    if region is not Region.LAMBDA0:
-        raise OutsideInterior(f"point {M} classifies as {region.value}, not the interior")
-    R = vertex_distances(T, M)
-    ell = bisector_lengths(T, M)
-    d = signed_distances(T, M)
-    lhs = R.sum()
-    two = (2.0, 2.0, 2.0)
-    barrow = _build_report(
-        InequalityId.BARROW1, region, lhs, two, (ell.l_a, ell.l_b, ell.l_c), tol_factor=tol_factor
-    )
-    erdos_mordell = _build_report(
-        InequalityId.ERDOS_MORDELL2, region, lhs, two, (d.d_a, d.d_b, d.d_c), tol_factor=tol_factor
-    )
-    return barrow, erdos_mordell
-
-
-_VERTEX_DISPATCH = {
-    Region.VERTEX_A: InequalityId.VERTEX_A14,
-    Region.VERTEX_B: InequalityId.VERTEX_B15,
-    Region.VERTEX_C: InequalityId.VERTEX_C16,
-}
-
-
-def _vertex_report(
-    T: Triangle, M: Point2, region: Region, tol_factor: float
-) -> InequalityReport:
-    """Two-distance bound at (or numerically on top of) a vertex.
-
-    Only the bisector toward the side opposite the coincident vertex stays
-    well-defined, so the report has a single right-hand-side term.
-    """
-    R = vertex_distances(T, M)
-    if region is Region.VERTEX_A:
-        lhs = R.R_B + R.R_C
-        weight = math.sqrt(R.R_C / R.R_B) + math.sqrt(R.R_B / R.R_C)
-        value = bisector_length(M, T.B, T.C)
-        side = "a"
-    elif region is Region.VERTEX_B:
-        lhs = R.R_A + R.R_C
-        weight = math.sqrt(R.R_C / R.R_A) + math.sqrt(R.R_A / R.R_C)
-        value = bisector_length(M, T.C, T.A)
-        side = "b"
-    else:
-        lhs = R.R_A + R.R_B
-        weight = math.sqrt(R.R_B / R.R_A) + math.sqrt(R.R_A / R.R_B)
-        value = bisector_length(M, T.A, T.B)
-        side = "c"
-    return _build_report(
-        _VERTEX_DISPATCH[region],
-        region,
-        lhs,
-        weights=(weight,),
-        values=(value,),
-        sides=(side,),
-        tol_factor=tol_factor,
-        scale=R.sum(),
+    F = PointFrame(T, M)
+    region = classify_frame(F, eps)
+    return (
+        frame_report(InequalityId.BARROW1, F, region, tol_factor),
+        frame_report(InequalityId.ERDOS_MORDELL2, F, region, tol_factor),
     )
 
 
@@ -357,28 +389,4 @@ def evaluate(
     interior and non-interior branches share one arithmetic path, so the
     interior report is bit-identical to what the signed formula yields.
     """
-    region = classify(T, M, eps)
-    R = vertex_distances(T, M)
-
-    if region.is_vertex:
-        return _vertex_report(T, M, region, tol_factor)
-    nearest = min(("A", "B", "C"), key=lambda name: getattr(R, "R_" + name))
-    if getattr(R, "R_" + nearest) <= VERTEX_ROUTE_FACTOR * T.diameter:
-        # Numerically on a vertex even though the sign pattern says otherwise
-        # (possible for thin triangles); the weights are unusable there.
-        vertex_region = {"A": Region.VERTEX_A, "B": Region.VERTEX_B, "C": Region.VERTEX_C}[nearest]
-        return _vertex_report(T, M, vertex_region, tol_factor)
-
-    weights = lu_weights(R)
-    lp = signed_bisectors(T, M)
-    inequality = (
-        InequalityId.LU_WEIGHTED13 if region is Region.LAMBDA0 else InequalityId.SIGNED_BARROW30
-    )
-    return _build_report(
-        inequality,
-        region,
-        lhs=R.sum(),
-        weights=weights.as_tuple(),
-        values=(lp.lp_a, lp.lp_b, lp.lp_c),
-        tol_factor=tol_factor,
-    )
+    return bound_report(InequalityId.SIGNED_BARROW30, T, M, eps, tol_factor)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 
-from .geom import BaryCoords, Point2, Triangle, barycentric
+from .geom import BaryCoords, Point2, PointFrame, Triangle
 
 DEFAULT_EPS = 1e-12
 
@@ -47,8 +47,8 @@ class Region(enum.Enum):
         return self is Region.LAMBDA0
 
 
-def sign_pattern(bc: BaryCoords, eps: float = DEFAULT_EPS) -> tuple[int, int, int]:
-    """Snap each coordinate to -1, 0 or +1, treating |x| <= eps as zero."""
+def sign_pattern(bc: BaryCoords | PointFrame, eps: float = DEFAULT_EPS) -> tuple[int, int, int]:
+    """Snap each coordinate u, v, w to -1, 0 or +1, treating |x| <= eps as zero."""
     def sgn(x: float) -> int:
         if abs(x) <= eps:
             return 0
@@ -114,6 +114,11 @@ def classify_pattern(pattern: tuple[int, int, int]) -> Region:
     raise ValueError(f"impossible sign pattern {pattern}: u + v + w = 1")
 
 
+def classify_frame(F: PointFrame, eps: float = DEFAULT_EPS) -> Region:
+    """Region of the sideline partition containing the frame's point."""
+    return classify_pattern(sign_pattern(F, eps))
+
+
 def classify(T: Triangle, M: Point2, eps: float = DEFAULT_EPS) -> Region:
     """Region of the sideline partition containing M."""
-    return classify_pattern(sign_pattern(barycentric(T, M), eps))
+    return classify_frame(PointFrame(T, M), eps)

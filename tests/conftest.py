@@ -40,24 +40,6 @@ def points_in(draw, lo=-100.0, hi=100.0):
     )
 
 
-@st.composite
-def interior_points(draw, t):
-    """A point strictly inside ``t``, by mixing the vertices."""
-    v = draw(st.floats(0.05, 0.9, allow_nan=False))
-    w = draw(st.floats(0.05, 0.95 - v, allow_nan=False))
-    u = 1.0 - v - w
-    return Point2(
-        u * t.A.x + v * t.B.x + w * t.C.x,
-        u * t.A.y + v * t.B.y + w * t.C.y,
-    )
-
-
-@st.composite
-def triangles_with_interior(draw):
-    t = draw(triangles())
-    return t, draw(interior_points(t))
-
-
 @pytest.fixture
 def unit_right():
     return Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))

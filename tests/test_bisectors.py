@@ -4,69 +4,30 @@ import pytest
 from hypothesis import assume, given, settings
 
 from barrow import (
-    CollinearInput,
     Point2,
-    Triangle,
     VertexCoincidence,
-    apex_angles,
-    bisector_foot,
     bisector_length,
     bisector_lengths,
     signed_bisectors,
 )
 from barrow.geom import barycentric, dist
 
-from conftest import points_in, triangles, triangles_with_interior
-from oracles import ray_bisector_foot, ray_bisector_length
+from conftest import points_in, triangles
+from oracles import ray_bisector_length
 
 # Independently computed reference values (bisector ray intersected with the
 # opposite line, printed to 17 significant digits).
-FOOT_4030 = (1.6568542494923801, 1.7573593128807148)
 LENGTH_4030 = 1.0025221363557746
 HARMONIC_OUTSIDE = 1.8856180831641269  # 4*sqrt(2)/3
 
 
-def test_apex_angles_known_point(unit_right):
-    ang = apex_angles(unit_right, Point2(1.0, 1.0))
-    assert ang.alpha_M == math.pi / 2.0
-    assert math.isclose(ang.beta_M, math.pi / 4.0, rel_tol=1e-15)
-    assert math.isclose(ang.gamma_M, math.pi / 4.0, rel_tol=1e-15)
-
-
-def test_apex_angles_equilateral_center(equilateral):
-    center = Point2(0.5, math.sqrt(3.0) / 6.0)
-    ang = apex_angles(equilateral, center)
-    for value in (ang.alpha_M, ang.beta_M, ang.gamma_M):
-        assert math.isclose(value, 2.0 * math.pi / 3.0, rel_tol=1e-12)
-
-
-def test_apex_angle_exactly_pi_between_vertices(unit_right):
-    # Strictly between B and C the cross product vanishes and the dot is
-    # negative, so the angle is the exact float pi.
-    ang = apex_angles(unit_right, Point2(0.5, 0.5))
-    assert ang.alpha_M == math.pi
-
-
-def test_apex_angle_exactly_zero_outside_segment(unit_right):
-    ang = apex_angles(unit_right, Point2(-1.0, 2.0))
-    assert ang.alpha_M == 0.0
-
-
-def test_apex_angles_reject_vertex(unit_right):
-    with pytest.raises(VertexCoincidence) as err:
-        apex_angles(unit_right, Point2(1.0, 0.0))
-    assert err.value.vertex == "B"
-    with pytest.raises(VertexCoincidence):
-        apex_angles(unit_right, Point2(1e-14, -1e-14))
-
-
-@settings(max_examples=200)
-@given(triangles_with_interior())
-def test_apex_angles_sum_to_full_turn_inside(tm):
-    t, m = tm
-    ang = apex_angles(t, m)
-    total = ang.alpha_M + ang.beta_M + ang.gamma_M
-    assert math.isclose(total, 2.0 * math.pi, rel_tol=1e-9)
+def test_bisector_lengths_reject_vertex(unit_right):
+    for measure in (bisector_lengths, signed_bisectors):
+        with pytest.raises(VertexCoincidence) as err:
+            measure(unit_right, Point2(1.0, 0.0))
+        assert err.value.vertex == "B"
+        with pytest.raises(VertexCoincidence):
+            measure(unit_right, Point2(1e-14, -1e-14))
 
 
 def test_bisector_length_known_values():
@@ -141,45 +102,6 @@ def test_bisector_length_dual_forms_stay_consistent(m, b, c):
     value = bisector_length(m, b, c)
     assert value >= 0.0
     assert value <= 2.0 * rb * rc / (rb + rc)
-
-
-def test_bisector_foot_known_values():
-    foot = bisector_foot(Point2(1.0, 1.0), Point2(4.0, 0.0), Point2(0.0, 3.0))
-    assert math.isclose(foot.x, FOOT_4030[0], rel_tol=1e-14)
-    assert math.isclose(foot.y, FOOT_4030[1], rel_tol=1e-14)
-    foot = bisector_foot(Point2(1.0, 1.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
-    assert foot.x == 0.5 and foot.y == 0.5
-
-
-def test_bisector_foot_equidistant_gives_midpoint():
-    foot = bisector_foot(Point2(0.25, 0.25), Point2(1.0, 0.0), Point2(0.0, 1.0))
-    assert math.isclose(foot.x, 0.5, rel_tol=1e-14)
-    assert math.isclose(foot.y, 0.5, rel_tol=1e-14)
-
-
-def test_bisector_foot_rejects_collinear(unit_right):
-    with pytest.raises(CollinearInput):
-        bisector_foot(Point2(0.5, 0.5), Point2(1.0, 0.0), Point2(0.0, 1.0))
-    with pytest.raises(CollinearInput):
-        bisector_foot(Point2(-1.0, 2.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
-    with pytest.raises(VertexCoincidence):
-        bisector_foot(Point2(1.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
-
-
-@settings(max_examples=200)
-@given(points_in(-10, 10), points_in(-10, 10), points_in(-10, 10))
-def test_bisector_foot_matches_ray_intersection(m, b, c):
-    rb, rc, side = dist(m, b), dist(m, c), dist(b, c)
-    assume(side > 1e-3 and rb > 1e-3 and rc > 1e-3)
-    cross = (b.x - m.x) * (c.y - m.y) - (b.y - m.y) * (c.x - m.x)
-    assume(abs(cross) > 1e-3 * rb * rc)
-    foot = bisector_foot(m, b, c)
-    ex, ey = ray_bisector_foot((m.x, m.y), (b.x, b.y), (c.x, c.y))
-    assert math.isclose(foot.x, ex, rel_tol=1e-9, abs_tol=1e-9 * side)
-    assert math.isclose(foot.y, ey, rel_tol=1e-9, abs_tol=1e-9 * side)
-    # The foot distance is the bisector length.
-    got = dist(m, foot)
-    assert math.isclose(got, bisector_length(m, b, c), rel_tol=1e-9)
 
 
 def test_bisector_lengths_interior(unit_right):

@@ -105,12 +105,35 @@ def test_degenerate_triangle_exit_code(capsys):
     assert "error" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "classify", "--triangle", UNIT_RIGHT)[0] == 2
     assert run_cli(capsys, "classify", "--triangle", "garbage", "--point", "0,0")[0] == 2
     assert run_cli(capsys, "eval", "--triangle", UNIT_RIGHT, "--point", "1,1",
                    "--inequality", "unknown")[0] == 2
     assert run_cli(capsys, "scan", "--triangle", UNIT_RIGHT, "--json")[0] == 2
+    for point in ("nan,0", "inf,0", "0,1e400"):
+        assert run_cli(capsys, "eval", "--triangle", UNIT_RIGHT, "--point", point)[0] == 2
+    assert run_cli(capsys, "classify", "--triangle", "0,0;1e400,0;0,1", "--point", "0,0")[0] == 2
+    assert run_cli(capsys, "scan", "--triangle", UNIT_RIGHT, "--bbox", "0,0,inf,1")[0] == 2
+    assert run_cli(capsys, "fuzz", "--n", "50", "--seed", "1", "--tol", "nan")[0] == 2
+    assert run_cli(capsys, "classify", "--triangle", UNIT_RIGHT, "--point", "0,0",
+                   "--eps", "nan")[0] == 2
+    missing = tmp_path / "missing"
+    assert run_cli(capsys, "scan", "--triangle", UNIT_RIGHT, "--resolution", "2",
+                   "--out", str(missing / "scan.csv"))[0] == 2
+    assert run_cli(capsys, "scan", "--triangle", UNIT_RIGHT, "--resolution", "2",
+                   "--out", str(tmp_path / "scan.csv"), "--svg", str(missing / "map.svg"))[0] == 2
+
+
+@pytest.mark.parametrize("command", [("eval", "--point", "3e-161,3e-161"), ("tighten",)])
+def test_numerical_error_exit_code(capsys, command):
+    # At this scale the radical bisector form underflows and the cross-check
+    # between the two closed forms fails.
+    code, out, err = run_cli(capsys, command[0], "--triangle", "0,0;1e-160,0;0,1e-160",
+                             *command[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_fuzz_summary_line(capsys):

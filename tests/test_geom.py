@@ -1,9 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from barrow import DegenerateTriangle, Point2, Triangle
+from barrow import DegenerateTriangle, Point2, PointFrame, Triangle
 from barrow.geom import barycentric, dist, signed_area, signed_distances, vertex_distances
 
 from conftest import points_in, triangles
@@ -130,6 +130,14 @@ def test_signed_distance_magnitude_matches_line_distance(t, m):
 
 @settings(max_examples=200)
 @given(triangles(), points_in())
+@example(
+    # The cross product for side c is the smallest subnormal: its ratio over
+    # the area underflows to zero, its ratio over the side does not.
+    t=Triangle(
+        Point2(0.0, 5e-324), Point2(2.0, 5e-324), Point2(2.161209223472559, 3.365883939231586)
+    ),
+    m=Point2(0.0, 0.0),
+)
 def test_signed_distance_signs_follow_barycentric(t, m):
     bc = barycentric(t, m)
     d = signed_distances(t, m)
@@ -140,6 +148,35 @@ def test_signed_distance_signs_follow_barycentric(t, m):
             assert value < 0.0
         else:
             assert value == 0.0
+
+
+def test_frame_cross_exactly_zero_between_vertices(unit_right):
+    # Strictly between B and C the cross product vanishes exactly and the
+    # dot product is negative: the angle BMC is exactly pi.
+    frame = PointFrame(unit_right, Point2(0.5, 0.5))
+    assert frame.cross[0] == 0.0 and frame.dot[0] < 0.0
+    assert frame.u == 0.0 and frame.vertex is None
+
+
+def test_frame_cross_exactly_zero_outside_segment(unit_right):
+    # On line BC beyond C the angle BMC is exactly zero.
+    frame = PointFrame(unit_right, Point2(-1.0, 2.0))
+    assert frame.cross[0] == 0.0 and frame.dot[0] > 0.0
+
+
+def test_frame_vertex_check(unit_right):
+    assert PointFrame(unit_right, Point2(1.0, 0.0)).vertex == 1
+    assert PointFrame(unit_right, Point2(1e-14, -1e-14)).vertex == 0
+    assert PointFrame(unit_right, Point2(1e-9, 0.0)).vertex is None
+
+
+@settings(max_examples=100)
+@given(triangles(), points_in())
+def test_frame_reproduces_distance_and_area_bits(t, m):
+    frame = PointFrame(t, m)
+    assert frame.R == (dist(m, t.A), dist(m, t.B), dist(m, t.C))
+    for k, (p, q) in enumerate(((t.B, t.C), (t.C, t.A), (t.A, t.B))):
+        assert frame.cross[k] / 2.0 == signed_area(m, p, q)
 
 
 def test_dist():

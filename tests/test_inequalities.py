@@ -251,6 +251,16 @@ def test_evaluate_interior_is_weighted_bound(unit_right):
     assert rep.rhs == rhs
 
 
+def test_evaluate_measures_each_vertex_distance_once(unit_right, monkeypatch):
+    calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *xs: calls.append(xs) or hypot(*xs))
+    evaluate(unit_right, Point2(0.25, 0.25))
+    assert len(calls) == 3
+    evaluate(unit_right, Point2(1.0, 1.0))
+    assert len(calls) == 6
+
+
 def test_evaluate_equilateral_circumcenter_tight():
     t = Triangle(
         Point2(0.0, 1.0),
