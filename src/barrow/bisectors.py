@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 from .errors import NumericalError, VertexCoincidence
 from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, dist
-
-#: Vertex indices of the endpoints of side k (0: BC, 1: CA, 2: AB).
-SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
+from .regions import SIDE_ENDS
 
 
 @dataclass(frozen=True)

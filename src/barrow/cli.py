@@ -30,6 +30,8 @@ from .regions import classify_frame
 from .svgmap import render_region_map
 
 CSV_HEADER = "x,y,region,R_A,R_B,R_C,lp_a,lp_b,lp_c,lhs,rhs,slack"
+#: One CSV line per :class:`~barrow.harness.ScanRow`, every float at 17 significant digits.
+_CSV_ROW = "%.17g,%.17g,%s" + ",%.17g" * 9 + "\n"
 
 _INEQUALITY_CHOICES = {
     "signed-barrow": InequalityId.SIGNED_BARROW30,
@@ -189,17 +191,11 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.violation_count == 0 else 1
 
 
-def _format_csv_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    return "%.17g" % v
-
-
 def write_csv(grid: ScanGrid, stream) -> None:
     """Write a scan as CSV with a fixed header and lossless float formatting."""
     stream.write(CSV_HEADER + "\n")
     for row in grid.rows:
-        stream.write(",".join(_format_csv_value(v) for v in row) + "\n")
+        stream.write(_CSV_ROW % row)
 
 
 def _default_bbox(T: Triangle) -> tuple[float, float, float, float]:

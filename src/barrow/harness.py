@@ -9,6 +9,7 @@ sequential one (partial aggregates are merged in sample-index order).
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,10 +25,11 @@ from .inequalities import (
     bound_report,
     frame_report,
 )
-from .regions import DEFAULT_EPS, OPEN_PATTERNS, Region, classify, classify_frame
+from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify, classify_frame
 
-#: Sampling strata, in the canonical order used to resolve mix proportions.
-STRATA = ("lambda0", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6", "sideline", "near-vertex")
+#: Sampling strata, in the canonical order used to resolve mix proportions:
+#: the seven open regions, then the sidelines and the vertex neighbourhoods.
+STRATA = tuple(region.value for region in OPEN_PATTERNS) + ("sideline", "near-vertex")
 
 DEFAULT_REGION_MIX = {
     "lambda0": 0.19,
@@ -193,12 +195,8 @@ def _sample_region_point(rng: random.Random, T: Triangle, region: Region, eps: f
     return best
 
 
-def _sideline_frame(T: Triangle, k: int) -> tuple[Point2, Point2, Point2]:
-    """Endpoints and opposite vertex of sideline k (0: BC, 1: CA, 2: AB)."""
-    return ((T.B, T.C, T.A), (T.C, T.A, T.B), (T.A, T.B, T.C))[k]
-
-
 def _sample_sideline_point(rng: random.Random, T: Triangle, eps: float) -> Point2:
+    V = T.vertices
     best = None
     best_coord = math.inf
     for _ in range(_MAX_RESAMPLE):
@@ -206,7 +204,8 @@ def _sample_sideline_point(rng: random.Random, T: Triangle, eps: float) -> Point
         t = rng.uniform(-2.0, 3.0)
         if abs(t) < 0.05 or abs(t - 1.0) < 0.05:
             continue
-        P, Q, opp = _sideline_frame(T, k)
+        i, j = SIDE_ENDS[k]
+        P, Q, opp = V[i], V[j], V[k]
         M = Point2(P.x + t * (Q.x - P.x), P.y + t * (Q.y - P.y))
         # The target coordinate is affine with value 1 at the opposite vertex
         # and 0 at P, so one correction step removes the construction error.
@@ -221,7 +220,7 @@ def _sample_sideline_point(rng: random.Random, T: Triangle, eps: float) -> Point
 
 
 def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> Point2:
-    V = (T.A, T.B, T.C)[rng.randrange(3)]
+    V = T.vertices[rng.randrange(3)]
     r = T.diameter * 10.0 ** rng.uniform(-10.0, -6.0)
     theta = rng.uniform(0.0, 2.0 * math.pi)
     return Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta))
@@ -283,11 +282,26 @@ def _new_aggregate() -> dict:
     return {"total_reports": 0, "cells": {}, "violations": []}
 
 
+def _lower_min(cell: dict, slack: float, index: int, where: Callable[[], tuple]) -> None:
+    """Record ``slack`` of sample ``index`` if it is below the cell's minimum.
+
+    ``where()`` builds the (triangle, point) payload, only for a new minimum.
+    Strict comparison keeps the earliest index on ties, so merging partial
+    aggregates in index order matches a sequential fold.
+    """
+    if slack < cell["min_slack"]:
+        cell["min_slack"] = slack
+        cell["argmin_index"] = index
+        cell["argmin_triangle"], cell["argmin_point"] = where()
+
+
 def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
     T, M, scale, reports = _run_sample(config, index)
     tol = config.tol_factor * scale
-    triangle = [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]]
-    point = [M.x, M.y]
+
+    def where():
+        return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [M.x, M.y]
+
     for rep in reports:
         agg["total_reports"] += 1
         key = f"{rep.inequality.value}/{rep.region.value}"
@@ -303,13 +317,10 @@ def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
             }
             agg["cells"][key] = cell
         cell["count"] += 1
-        if rep.slack < cell["min_slack"]:
-            cell["min_slack"] = rep.slack
-            cell["argmin_index"] = index
-            cell["argmin_triangle"] = triangle
-            cell["argmin_point"] = point
+        _lower_min(cell, rep.slack, index, where)
         if rep.slack < -tol:
             cell["violation_count"] += 1
+            triangle, point = where()
             agg["violations"].append(
                 {
                     "index": index,
@@ -328,17 +339,12 @@ def _merge_aggregates(into: dict, part: dict) -> None:
     for key, cell in part["cells"].items():
         mine = into["cells"].get(key)
         if mine is None:
-            into["cells"][key] = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cell.items()}
+            into["cells"][key] = dict(cell)
             continue
         mine["count"] += cell["count"]
         mine["violation_count"] += cell["violation_count"]
-        # Strict comparison keeps the earliest index on ties, matching a
-        # sequential fold (parts arrive in index order).
-        if cell["min_slack"] < mine["min_slack"]:
-            mine["min_slack"] = cell["min_slack"]
-            mine["argmin_index"] = cell["argmin_index"]
-            mine["argmin_triangle"] = cell["argmin_triangle"]
-            mine["argmin_point"] = cell["argmin_point"]
+        _lower_min(mine, cell["min_slack"], cell["argmin_index"],
+                   lambda: (cell["argmin_triangle"], cell["argmin_point"]))
     into["violations"].extend(part["violations"])
 
 
@@ -381,7 +387,8 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     Violations (slack below ``-tol_factor`` times the local distance scale)
     are recorded with full reproduction data, not raised.  The report is
     independent of ``workers``: each sample owns a seed-derived stream and
-    partial results merge in sample-index order.
+    partial results merge in sample-index order.  The run is split into
+    ``workers`` chunks, served by at most one process per CPU.
     """
     chunk = max(1, math.ceil(config.n / max(1, workers)))
     bounds = [(lo, min(lo + chunk, config.n)) for lo in range(0, config.n, chunk)]
@@ -389,11 +396,11 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
         parts = [_chunk_aggregate(config, lo, hi) for lo, hi in bounds]
     else:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(len(bounds), os.cpu_count() or 1)) as pool:
                 parts = list(
                     pool.map(_chunk_aggregate, [config] * len(bounds), *zip(*bounds))
                 )
-        except (OSError, PermissionError, RuntimeError):
+        except (OSError, RuntimeError):
             # Process pools may be unavailable in restricted environments;
             # the sequential path produces the identical report.
             parts = [_chunk_aggregate(config, lo, hi) for lo, hi in bounds]
@@ -474,9 +481,6 @@ def _nelder_mead(f, x0, step, tol, max_iter=500):
     return pts[order[0]], vals[order[0]]
 
 
-_SEARCH_CYCLE = ("lambda0", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6")
-
-
 def tightness_search(
     T: Triangle, inequality: InequalityId, starts: int = 14, seed: int = 0
 ) -> tuple[Point2, float]:
@@ -495,10 +499,8 @@ def tightness_search(
         raise DomainError(f"starts must be >= 1, got {starts}")
     objective = _objective_for(T, inequality)
     rng = random.Random(seed)
-    if inequality in INTERIOR_IDS:
-        targets = ["lambda0"] * starts
-    else:
-        targets = [_SEARCH_CYCLE[i % len(_SEARCH_CYCLE)] for i in range(starts)]
+    cycle = (Region.LAMBDA0,) if inequality in INTERIOR_IDS else tuple(OPEN_PATTERNS)
+    targets = [cycle[i % len(cycle)] for i in range(starts)]
     best_pt = None
     best_val = math.inf
     for target in targets:
@@ -566,10 +568,7 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
             x = x0 + (ix + 0.5) * dx
             F = PointFrame(T, Point2(x, y))
             rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
-            if rep.inequality in VERTEX_IDS:
-                (term,) = rep.terms
-                lp = tuple(term.value if side == term.side else math.nan for side in "abc")
-            else:
-                lp = tuple(term.value for term in rep.terms)
+            by_side = {term.side: term.value for term in rep.terms}
+            lp = [by_side.get(side, math.nan) for side in "abc"]
             rows.append(ScanRow(x, y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

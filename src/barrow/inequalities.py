@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .bisectors import SIDE_ENDS, frame_bisectors, frame_signed_bisectors, side_bisector
+from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
 from .errors import DomainError, OutsideInterior, VertexCoincidence
 from .geom import DistanceTriple, Point2, PointFrame, Triangle
-from .regions import DEFAULT_EPS, Region, classify_frame
+from .regions import DEFAULT_EPS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
 
 #: |slack| below this fraction of (R_A+R_B+R_C) is reported as an equality case.
 DEFAULT_TOL_FACTOR = 1e-9
@@ -130,6 +130,15 @@ def _validate_nonneg(**named: float) -> None:
             raise DomainError(f"{name} must be a finite non-negative real, got {value}")
 
 
+#: Per statement: alpha = offset + sign * beta + sign * gamma, then the signs
+#: of the alpha, beta and gamma cosine terms.
+_STATEMENTS = {
+    "S1": (math.pi, -1.0, (1.0, 1.0, 1.0)),
+    "S2": (0.0, 1.0, (-1.0, 1.0, 1.0)),
+    "S3": (0.0, 1.0, (1.0, -1.0, -1.0)),
+}
+
+
 def stmt_slack(kind: str, p: float, q: float, r: float, beta: float, gamma: float) -> float:
     """Slack of one of the three scalar inequalities behind the geometry.
 
@@ -146,30 +155,16 @@ def stmt_slack(kind: str, p: float, q: float, r: float, beta: float, gamma: floa
     _validate_nonneg(p=p, q=q, r=r, beta=beta, gamma=gamma)
     if beta + gamma > math.pi + 1e-12:
         raise DomainError(f"beta + gamma = {beta + gamma} exceeds pi")
-    sp, sq, sr = math.sqrt(p), math.sqrt(q), math.sqrt(r)
-    if kind == "S1":
-        alpha = math.pi - beta - gamma
-        rhs = (
-            2.0 * sq * sr * math.cos(alpha)
-            + 2.0 * sp * sr * math.cos(beta)
-            + 2.0 * sp * sq * math.cos(gamma)
-        )
-    elif kind == "S2":
-        alpha = beta + gamma
-        rhs = (
-            -2.0 * sq * sr * math.cos(alpha)
-            + 2.0 * sp * sr * math.cos(beta)
-            + 2.0 * sp * sq * math.cos(gamma)
-        )
-    elif kind == "S3":
-        alpha = beta + gamma
-        rhs = (
-            2.0 * sq * sr * math.cos(alpha)
-            - 2.0 * sp * sr * math.cos(beta)
-            - 2.0 * sp * sq * math.cos(gamma)
-        )
-    else:
+    if kind not in _STATEMENTS:
         raise ValueError(f"unknown statement kind {kind!r}, expected 'S1', 'S2' or 'S3'")
+    offset, sign, (s_alpha, s_beta, s_gamma) = _STATEMENTS[kind]
+    alpha = offset + sign * beta + sign * gamma
+    sp, sq, sr = math.sqrt(p), math.sqrt(q), math.sqrt(r)
+    rhs = (
+        s_alpha * 2.0 * sq * sr * math.cos(alpha)
+        + s_beta * 2.0 * sp * sr * math.cos(beta)
+        + s_gamma * 2.0 * sp * sq * math.cos(gamma)
+    )
     return (p + q + r) - rhs
 
 
@@ -228,22 +223,27 @@ def _weight(x: float, y: float) -> float:
     return math.sqrt(y / x) + math.sqrt(x / y)
 
 
+def _side_weights(R) -> tuple[float, float, float]:
+    """The weight of each side k, pairing the distances to its two endpoints."""
+    return tuple([_weight(R[i], R[j]) for i, j in SIDE_ENDS])
+
+
 def lu_weights(R: DistanceTriple) -> WeightTriple:
     """Weights sqrt(R_y/R_x) + sqrt(R_x/R_y) pairing the two distances off each side.
 
     Diverges as any distance tends to 0, which is why callers route
     (near-)vertex points to the reduced vertex inequality instead.
     """
-    for name, value in (("A", R.R_A), ("B", R.R_B), ("C", R.R_C)):
+    distances = (R.R_A, R.R_B, R.R_C)
+    for name, value in zip("ABC", distances):
         if value <= 0.0:
             raise VertexCoincidence(
                 f"distance to vertex {name} is {value}; weights are undefined there", vertex=name
             )
-    return WeightTriple(_weight(R.R_B, R.R_C), _weight(R.R_A, R.R_C), _weight(R.R_B, R.R_A))
+    return WeightTriple(*_side_weights(distances))
 
 
 _TWO = (2.0, 2.0, 2.0)
-_VERTEX_REGIONS = (Region.VERTEX_A, Region.VERTEX_B, Region.VERTEX_C)
 _VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16)
 
 
@@ -270,8 +270,7 @@ def _weighted(F: PointFrame, region: Region, tol: float) -> InequalityReport:
     One arithmetic path for both regimes, so the interior report is
     bit-identical to what the signed formula yields there.
     """
-    R_A, R_B, R_C = F.R
-    weights = (_weight(R_B, R_C), _weight(R_A, R_C), _weight(R_B, R_A))
+    weights = _side_weights(F.R)
     lp = frame_signed_bisectors(F)
     interior = region is Region.LAMBDA0
     inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30
@@ -288,14 +287,14 @@ def _vertex_report(F: PointFrame, k: int, tol: float) -> InequalityReport:
     i, j = SIDE_ENDS[k]
     R_i, R_j = F.R[i], F.R[j]
     return _build_report(
-        _VERTEX_BOUNDS[k], _VERTEX_REGIONS[k], R_i + R_j, (_weight(R_i, R_j),),
+        _VERTEX_BOUNDS[k], VERTEX_REGIONS[k], R_i + R_j, (_weight(R_i, R_j),),
         (side_bisector(F, k),), sides=("abc"[k],), tol_factor=tol, scale=F.R_sum,
     )
 
 
 def _signed_barrow(F: PointFrame, region: Region, tol: float) -> InequalityReport:
     if region.is_vertex:
-        return _vertex_report(F, _VERTEX_REGIONS.index(region), tol)
+        return _vertex_report(F, VERTEX_REGIONS.index(region), tol)
     if F.vertex is not None:
         # Numerically on a vertex even though the sign pattern says otherwise
         # (possible for thin triangles); the weights are unusable there.

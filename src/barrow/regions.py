@@ -13,6 +13,10 @@ extension rays in its closure, minus two vertices), the three wedges taken
 *open*, and the three vertices themselves.  Boundary points have one or two
 coordinates within ``eps`` of zero; the snapping rules below decide which
 label owns them, so the ten labels tile the plane without gaps or overlaps.
+
+The partition is written only here, as three tables that the rest of the
+package reads: :data:`OPEN_PATTERNS`, :data:`VERTEX_REGIONS` and
+:data:`SIDE_ENDS`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class Region(enum.Enum):
 
     @property
     def is_vertex(self) -> bool:
-        return self in (Region.VERTEX_A, Region.VERTEX_B, Region.VERTEX_C)
+        return self in VERTEX_REGIONS
 
     @property
     def is_interior(self) -> bool:
@@ -68,50 +72,38 @@ OPEN_PATTERNS: dict[Region, tuple[int, int, int]] = {
     Region.MU6: (-1, -1, 1),
 }
 
-_STRIP_BY_NEG = {0: Region.MU1, 1: Region.MU2, 2: Region.MU3}
-_WEDGE_BY_POS = {0: Region.MU4, 1: Region.MU5, 2: Region.MU6}
-_VERTEX_BY_POS = {0: Region.VERTEX_A, 1: Region.VERTEX_B, 2: Region.VERTEX_C}
+#: The vertex labels, indexed like the vertices A, B, C.
+VERTEX_REGIONS = (Region.VERTEX_A, Region.VERTEX_B, Region.VERTEX_C)
+
+#: Vertex indices of the endpoints of side k (0: BC, 1: CA, 2: AB); side k
+#: lies opposite vertex k, on the sideline where coordinate k vanishes.
+SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
+
+_REGION_BY_PATTERN = {pattern: region for region, pattern in OPEN_PATTERNS.items()}
 
 
 def classify_pattern(pattern: tuple[int, int, int]) -> Region:
     """Region owning a snapped sign pattern.
 
     Zeros mark sideline membership and are resolved to the closed region
-    that contains the boundary piece: a point of a side segment belongs to
-    the strip across that side, a point of an extension ray belongs to the
-    strip whose closure contains that ray, and a double zero is a vertex.
+    that contains the boundary piece.  Two or more zeros are the vertex of
+    the largest coordinate, the first on a tie (only a coordinate near 1
+    can arise from u + v + w = 1).  A single zero counts as negative when
+    no other coordinate is negative (a point of a side segment belongs to
+    the strip across it) and as positive otherwise (an extension ray
+    belongs to the closed strip, not the open wedge).  The snapped pattern
+    then names an open region; ``(-1, -1, -1)`` raises ValueError.
     """
-    zeros = [i for i, s in enumerate(pattern) if s == 0]
-    negs = [i for i, s in enumerate(pattern) if s < 0]
-
-    if len(zeros) >= 2:
-        # Two coordinates vanish only at a vertex: the remaining one is ~1.
-        pos = max(range(3), key=lambda i: pattern[i])
-        if len(zeros) == 3:  # unreachable for u+v+w = 1, kept for totality
-            pos = 0
-        return _VERTEX_BY_POS[pos]
-
-    if len(zeros) == 1:
-        z = zeros[0]
-        if len(negs) == 0:
-            # On a side of the triangle (u, v, w >= 0): the opposite strip
-            # owns its boundary, so the zero counts as negative.
-            return _STRIP_BY_NEG[z]
-        if len(negs) == 1:
-            # On a sideline extension ray: it separates a strip from a
-            # wedge, and the strip is the closed one.
-            return _STRIP_BY_NEG[negs[0]]
-        # A zero with two negatives cannot arise from u + v + w = 1; resolve
-        # to the adjacent wedge for totality.
-        return _WEDGE_BY_POS[3 - negs[0] - negs[1]]
-
-    if len(negs) == 0:
-        return Region.LAMBDA0
-    if len(negs) == 1:
-        return _STRIP_BY_NEG[negs[0]]
-    if len(negs) == 2:
-        return _WEDGE_BY_POS[3 - negs[0] - negs[1]]
-    raise ValueError(f"impossible sign pattern {pattern}: u + v + w = 1")
+    if pattern.count(0) >= 2:
+        return VERTEX_REGIONS[pattern.index(max(pattern))]
+    snapped = pattern
+    if 0 in pattern:
+        zero = 1 if -1 in pattern else -1
+        snapped = tuple(zero if s == 0 else s for s in pattern)
+    region = _REGION_BY_PATTERN.get(snapped)
+    if region is None:
+        raise ValueError(f"impossible sign pattern {pattern}: u + v + w = 1")
+    return region
 
 
 def classify_frame(F: PointFrame, eps: float = DEFAULT_EPS) -> Region:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .geom import Triangle
 from .harness import ScanGrid
+from .regions import VERTEX_REGIONS
 
 #: Fill colors per region label, plus marker colors for the three vertices.
 REGION_COLORS = {
@@ -106,10 +107,10 @@ def render_region_map(grid: ScanGrid, T: Triangle, width: int = 480, heatmap: bo
     lines.append(
         f'<path d="{outline}" fill="none" stroke="#1a1a1a" stroke-width="{_fmt(stroke_w)}"/>'
     )
-    for label, V in (("vertexA", T.A), ("vertexB", T.B), ("vertexC", T.C)):
+    for region, V in zip(VERTEX_REGIONS, T.vertices):
         lines.append(
             f'<circle cx="{_fmt(px(V.x))}" cy="{_fmt(py(V.y))}" r="{_fmt(marker_r)}" '
-            f'fill="{REGION_COLORS[label]}" stroke="#1a1a1a" stroke-width="{_fmt(stroke_w / 2.0)}"/>'
+            f'fill="{REGION_COLORS[region.value]}" stroke="#1a1a1a" stroke-width="{_fmt(stroke_w / 2.0)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

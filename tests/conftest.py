@@ -1,9 +1,17 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from barrow import Point2, Triangle
+
+# The `pythonpath` setting puts src/ on sys.path of the test process only;
+# tests that start `python -m barrow` get it through the environment, so
+# the suite runs from a plain checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from barrow import (
     sample_triangle,
     tightness_search,
 )
+from barrow import harness
 from barrow.geom import barycentric, dist, vertex_distances
 from barrow.harness import (
     DEFAULT_REGION_MIX,
@@ -138,6 +140,31 @@ def test_fuzz_deterministic_and_worker_independent():
     assert fuzz_snapshot(fuzz(config, workers=1)) == sequential
     assert fuzz_snapshot(fuzz(config, workers=3)) == sequential
     assert fuzz_snapshot(fuzz(config, workers=8)) == sequential
+
+
+def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
+    # A fake executor that runs in-process: no test may start one process
+    # per requested worker.
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    config = FuzzConfig(n=300, seed=13)
+    report = fuzz(config, workers=10_000)
+    assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
+    assert fuzz_snapshot(report) == fuzz_snapshot(fuzz(config, workers=1))
 
 
 def test_fuzz_near_degenerate_shape():

@@ -36,7 +36,25 @@ REALIZABLE_PATTERNS = {
 }
 
 
-@pytest.mark.parametrize("pattern,region", sorted(REALIZABLE_PATTERNS.items()))
+# The patterns u + v + w = 1 rules out, except (-1, -1, -1): the classifier
+# is total on them, a zero with two negatives joining the adjacent wedge and
+# two or three zeros naming the vertex of the largest coordinate (the first
+# on a tie).
+UNREALIZABLE_PATTERNS = {
+    (0, -1, -1): Region.MU4,
+    (-1, 0, -1): Region.MU5,
+    (-1, -1, 0): Region.MU6,
+    (0, 0, -1): Region.VERTEX_A,
+    (0, -1, 0): Region.VERTEX_A,
+    (-1, 0, 0): Region.VERTEX_B,
+    (0, 0, 0): Region.VERTEX_A,
+}
+
+
+@pytest.mark.parametrize(
+    "pattern,region",
+    sorted(REALIZABLE_PATTERNS.items()) + sorted(UNREALIZABLE_PATTERNS.items()),
+)
 def test_classify_pattern_table(pattern, region):
     assert classify_pattern(pattern) is region
 
