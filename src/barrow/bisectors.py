@@ -21,15 +21,14 @@ used: 0 on the closed segment [BC], the harmonic-mean scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NumericalError, VertexCoincidence
 from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, dist
 from .regions import SIDE_ENDS
 
 
-@dataclass(frozen=True)
-class BisectorTriple:
+class BisectorTriple(NamedTuple):
     """Unsigned bisector lengths toward sides BC, CA, AB."""
 
     l_a: float
@@ -37,8 +36,7 @@ class BisectorTriple:
     l_c: float
 
 
-@dataclass(frozen=True)
-class SignedBisectorTriple:
+class SignedBisectorTriple(NamedTuple):
     """Bisector lengths signed by the side of the sideline M lies on.
 
     Positive when M and the opposite vertex share a side of the line,
@@ -61,12 +59,18 @@ def _bisector(R_B: float, R_C: float, cross: float, dot: float) -> float:
     alpha = math.atan2(abs(cross), dot)
     half_angle_form = scale * math.cos(0.5 * alpha)
 
-    # (R_B+R_C)^2 - side^2 without the cancellation of the literal parenthesis.
+    # (R_B+R_C)^2 - side^2 without the cancellation of the literal parenthesis,
+    # in units of 2^e so that no product of small lengths underflows.  Scaling
+    # by a power of two is exact: wherever the unscaled formula neither
+    # underflows nor overflows, this gives its bits.
+    e = math.frexp(R_B + R_C)[1]
+    r_b, r_c = math.ldexp(R_B, -e), math.ldexp(R_C, -e)
+    k, d = math.ldexp(cross, -2 * e), math.ldexp(dot, -2 * e)
     if dot >= 0.0:
-        excess = 2.0 * (dot + R_B * R_C)
+        excess = 2.0 * (d + r_b * r_c)
     else:
-        excess = 2.0 * cross * cross / (R_B * R_C - dot)
-    radical_form = math.sqrt(R_B * R_C) * math.sqrt(excess) / (R_B + R_C)
+        excess = 2.0 * k * k / (r_b * r_c - d)
+    radical_form = math.ldexp(math.sqrt(r_b * r_c) * math.sqrt(excess) / (r_b + r_c), e)
 
     # Cross-check the independent forms on every call.  The absolute floor
     # covers the half-angle form's error (~eps * scale) next to the segment,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DegenerateTriangle, VertexCoincidence
+from .errors import DegenerateTriangle, DomainError, VertexCoincidence
 
 #: A triangle is rejected when |signed area| <= this factor times diameter^2.
 DEGENERACY_FACTOR = 1e-12
@@ -90,8 +91,7 @@ class Triangle:
         return f"Triangle({self.A}, {self.B}, {self.C})"
 
 
-@dataclass(frozen=True)
-class BaryCoords:
+class BaryCoords(NamedTuple):
     """Normalized affine barycentric coordinates (u + v + w = 1)."""
 
     u: float
@@ -102,8 +102,7 @@ class BaryCoords:
         return (self.u, self.v, self.w)
 
 
-@dataclass(frozen=True)
-class DistanceTriple:
+class DistanceTriple(NamedTuple):
     """Distances from a point to the vertices A, B, C."""
 
     R_A: float
@@ -114,8 +113,7 @@ class DistanceTriple:
         return self.R_A + self.R_B + self.R_C
 
 
-@dataclass(frozen=True)
-class SignedDistanceTriple:
+class SignedDistanceTriple(NamedTuple):
     """Signed distances to the sidelines BC, CA, AB.
 
     ``d_a`` is positive when the point lies on the same side of line BC as
@@ -149,7 +147,8 @@ class PointFrame:
     ``vertex`` the index of the nearest vertex if M lies within
     ``COINCIDENCE_FACTOR`` of the diameter of it, else None.  Region, signed
     distances, bisectors and weights all derive from these, so every sign
-    and exact zero comes from one cross product.
+    and exact zero comes from one cross product.  Raises DomainError when
+    the squared distances from M to the vertices overflow.
     """
 
     __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex")
@@ -161,6 +160,10 @@ class PointFrame:
         self.T = T
         self.M = M
         self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
+        far = max(R)
+        if not math.isfinite(2.0 * far * far):
+            # The bisector forms multiply two distances; past this they overflow.
+            raise DomainError(f"squared distances from point {M} to the vertices overflow")
         self.R_sum = R[0] + R[1] + R[2]
         self.cross = k = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
         self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)

@@ -163,7 +163,7 @@ _REGION_TARGETS = {r.value: r for r in OPEN_PATTERNS}
 _BARY_MARGIN = 1e-3
 
 
-def _sample_region_point(rng: random.Random, T: Triangle, region: Region, eps: float) -> Point2:
+def _sample_region_point(rng: random.Random, T: Triangle, region: Region) -> Point2:
     pattern = OPEN_PATTERNS[region]
     negs = [i for i, s in enumerate(pattern) if s < 0]
     best = None
@@ -190,12 +190,12 @@ def _sample_region_point(rng: random.Random, T: Triangle, region: Region, eps: f
             u * T.A.y + v * T.B.y + w * T.C.y,
         )
         best = M
-        if classify(T, M, eps) is region:
+        if classify(T, M) is region:
             return M
     return best
 
 
-def _sample_sideline_point(rng: random.Random, T: Triangle, eps: float) -> Point2:
+def _sample_sideline_point(rng: random.Random, T: Triangle) -> Point2:
     V = T.vertices
     best = None
     best_coord = math.inf
@@ -209,12 +209,12 @@ def _sample_sideline_point(rng: random.Random, T: Triangle, eps: float) -> Point
         M = Point2(P.x + t * (Q.x - P.x), P.y + t * (Q.y - P.y))
         # The target coordinate is affine with value 1 at the opposite vertex
         # and 0 at P, so one correction step removes the construction error.
-        co = barycentric(T, M).as_tuple()[k]
+        co = barycentric(T, M)[k]
         M = Point2(M.x - co * (opp.x - P.x), M.y - co * (opp.y - P.y))
-        co = abs(barycentric(T, M).as_tuple()[k])
+        co = abs(barycentric(T, M)[k])
         if co < best_coord:
             best, best_coord = M, co
-        if co <= eps:
+        if co <= DEFAULT_EPS:
             return M
     return best
 
@@ -226,7 +226,7 @@ def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> Point2:
     return Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta))
 
 
-def sample_point(rng: random.Random, T: Triangle, target, eps: float = DEFAULT_EPS) -> Point2:
+def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
     """Draw a point from the requested stratum of the plane of T.
 
     ``target`` is a region (or its label) for the seven full-dimensional
@@ -238,9 +238,9 @@ def sample_point(rng: random.Random, T: Triangle, target, eps: float = DEFAULT_E
     if isinstance(target, Region):
         target = target.value
     if target in _REGION_TARGETS:
-        return _sample_region_point(rng, T, _REGION_TARGETS[target], eps)
+        return _sample_region_point(rng, T, _REGION_TARGETS[target])
     if target == "sideline":
-        return _sample_sideline_point(rng, T, eps)
+        return _sample_sideline_point(rng, T)
     if target == "near-vertex":
         return _sample_near_vertex_point(rng, T)
     raise DomainError(f"unknown sampling target {target!r}")
@@ -392,9 +392,8 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     """
     chunk = max(1, math.ceil(config.n / max(1, workers)))
     bounds = [(lo, min(lo + chunk, config.n)) for lo in range(0, config.n, chunk)]
-    if workers <= 1 or len(bounds) <= 1:
-        parts = [_chunk_aggregate(config, lo, hi) for lo, hi in bounds]
-    else:
+    parts = None
+    if len(bounds) > 1:
         try:
             with ProcessPoolExecutor(max_workers=min(len(bounds), os.cpu_count() or 1)) as pool:
                 parts = list(
@@ -403,7 +402,9 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
         except (OSError, RuntimeError):
             # Process pools may be unavailable in restricted environments;
             # the sequential path produces the identical report.
-            parts = [_chunk_aggregate(config, lo, hi) for lo, hi in bounds]
+            pass
+    if parts is None:
+        parts = [_chunk_aggregate(config, lo, hi) for lo, hi in bounds]
     agg = _new_aggregate()
     for part in parts:
         _merge_aggregates(agg, part)
@@ -506,11 +507,7 @@ def tightness_search(
     for target in targets:
         start = sample_point(rng, T, target)
         pt, val = _nelder_mead(
-            objective,
-            (start.x, start.y),
-            step=0.05 * T.diameter,
-            tol=1e-10 * T.diameter,
-            max_iter=500,
+            objective, (start.x, start.y), step=0.05 * T.diameter, tol=1e-10 * T.diameter
         )
         if val < best_val:
             best_pt, best_val = pt, val

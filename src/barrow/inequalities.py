@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
@@ -42,8 +41,7 @@ class InequalityId(enum.Enum):
     VERTEX_C16 = "VertexC16"
 
 
-@dataclass(frozen=True)
-class WeightTriple:
+class WeightTriple(NamedTuple):
     """Per-side weights of the form t + 1/t, hence each >= 2."""
 
     w_a: float
@@ -54,8 +52,7 @@ class WeightTriple:
         return (self.w_a, self.w_b, self.w_c)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One right-hand-side term: weight times a bisector or distance value."""
 
     side: str
@@ -63,17 +60,8 @@ class Term:
     value: float
     contribution: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "weight": self.weight,
-            "value": self.value,
-            "contribution": self.contribution,
-        }
 
-
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of evaluating one inequality at one point."""
 
     inequality: InequalityId
@@ -86,13 +74,10 @@ class InequalityReport:
 
     def to_json_dict(self) -> dict:
         return {
+            **self._asdict(),
             "inequality": self.inequality.value,
             "region": self.region.value,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tight": self.tight,
-            "terms": [t.to_json_dict() for t in self.terms],
+            "terms": [t._asdict() for t in self.terms],
         }
 
 
@@ -234,13 +219,12 @@ def lu_weights(R: DistanceTriple) -> WeightTriple:
     Diverges as any distance tends to 0, which is why callers route
     (near-)vertex points to the reduced vertex inequality instead.
     """
-    distances = (R.R_A, R.R_B, R.R_C)
-    for name, value in zip("ABC", distances):
+    for name, value in zip("ABC", R):
         if value <= 0.0:
             raise VertexCoincidence(
                 f"distance to vertex {name} is {value}; weights are undefined there", vertex=name
             )
-    return WeightTriple(*_side_weights(distances))
+    return WeightTriple(*_side_weights(R))
 
 
 _TWO = (2.0, 2.0, 2.0)

@@ -39,6 +39,11 @@ def test_classify_output_is_byte_stable(capsys):
     assert code == 0
     assert out == '{"region":"mu1","bary":[-3,2,2]}\n'
     assert err == ""
+    # A value with a leading minus is attached with "=", or argparse reads it as a flag.
+    assert run_cli(capsys, "classify", "--triangle=-1,-1;0,-1;-1,0", "--point=1,1") == (0, out, "")
+    assert run_cli(capsys, "classify", "--triangle", UNIT_RIGHT, "--point=-0.5,0.25") == (
+        0, '{"region":"mu2","bary":[1.25,-0.5,0.25]}\n', "")
+    assert run_cli(capsys, "classify", "--triangle", UNIT_RIGHT, "--point", "-0.5,0.25")[0] == 2
 
 
 def test_classify_eps_flag(capsys):
@@ -63,6 +68,67 @@ def test_eval_default_matches_library(capsys):
     assert data["lhs"] == rep.lhs
     assert data["slack"] == rep.slack
     assert [t["side"] for t in data["terms"]] == ["a", "b", "c"]
+
+
+# stdout of `eval` on the unit right triangle, one report per line.
+_LU_QUARTER = (
+    '{"inequality":"LuWeighted13","region":"lambda0","lhs":1.9346922206774635,'
+    '"rhs":1.8188927216893898,"slack":0.11579949898807373,"tight":false,"terms":['
+    '{"side":"a","weight":2,"value":0.35355339059327384,"contribution":0.7071067811865477},'
+    '{"side":"b","weight":2.1640890861976425,"value":0.25687157418650386,"contribution":0.555892970251421},'
+    '{"side":"c","weight":2.1640890861976425,"value":0.25687157418650386,"contribution":0.555892970251421}]}'
+)
+EVAL_STDOUT = {
+    ("0.25,0.25", "signed-barrow"): _LU_QUARTER,
+    ("0.25,0.25", "lu"): _LU_QUARTER,
+    ("0.25,0.25", "barrow"): (
+        '{"inequality":"Barrow1","region":"lambda0","lhs":1.9346922206774635,'
+        '"rhs":1.7345930779325631,"slack":0.20009914274490037,"tight":false,"terms":['
+        '{"side":"a","weight":2,"value":0.35355339059327384,"contribution":0.7071067811865477},'
+        '{"side":"b","weight":2,"value":0.25687157418650386,"contribution":0.5137431483730077},'
+        '{"side":"c","weight":2,"value":0.25687157418650386,"contribution":0.5137431483730077}]}'
+    ),
+    ("0.25,0.25", "erdos-mordell"): (
+        '{"inequality":"ErdosMordell2","region":"lambda0","lhs":1.9346922206774635,'
+        '"rhs":1.7071067811865475,"slack":0.22758543949091603,"tight":false,"terms":['
+        '{"side":"a","weight":2,"value":0.35355339059327373,"contribution":0.7071067811865475},'
+        '{"side":"b","weight":2,"value":0.25,"contribution":0.5},'
+        '{"side":"c","weight":2,"value":0.25,"contribution":0.5}]}'
+    ),
+    ("0.25,0.25", "dergiades"): (
+        '{"inequality":"Dergiades3","region":"lambda0","lhs":1.9346922206774635,'
+        '"rhs":1.7677669529663689,"slack":0.16692526771109462,"tight":false,"terms":['
+        '{"side":"a","weight":2,"value":0.35355339059327373,"contribution":0.7071067811865475},'
+        '{"side":"b","weight":2.121320343559643,"value":0.25,"contribution":0.5303300858899107},'
+        '{"side":"c","weight":2.121320343559643,"value":0.25,"contribution":0.5303300858899107}]}'
+    ),
+    ("-1,0.5", "signed-barrow"): (
+        '{"inequality":"SignedBarrow30","region":"mu2","lhs":4.2976207903086205,'
+        '"rhs":3.866006104542285,"slack":0.43161468576633544,"tight":false,"terms":['
+        '{"side":"a","weight":2.0943340316208436,"value":1.3597478431007204,"contribution":2.8477661822288782},'
+        '{"side":"b","weight":2,"value":-1,"contribution":-2},'
+        '{"side":"c","weight":2.0943340316208436,"value":1.4411454317903316,"contribution":3.018239922313407}]}'
+    ),
+    ("2,-0.5", "signed-barrow"): (
+        '{"inequality":"SignedBarrow30","region":"mu5","lhs":5.679586801558726,'
+        '"rhs":-1.8978391705308342,"slack":7.57742597208956,"tight":false,"terms":['
+        '{"side":"a","weight":2.1640890861976425,"value":-1.5388417685876268,"contribution":-3.3301906767855614},'
+        '{"side":"b","weight":2.0093031753085935,"value":2.2149924825976557,"contribution":4.450591428568134},'
+        '{"side":"c","weight":2.0943340316208436,"value":-1.4411454317903316,"contribution":-3.018239922313407}]}'
+    ),
+    ("1,0", "signed-barrow"): (
+        '{"inequality":"VertexB15","region":"vertexB","lhs":2.414213562373095,'
+        '"rhs":2.1973682269356205,"slack":0.21684533543747442,"tight":false,"terms":['
+        '{"side":"b","weight":2.0301035302564356,"value":1.0823922002923942,"contribution":2.1973682269356205}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("point, inequality", list(EVAL_STDOUT))
+def test_eval_output_is_byte_stable(capsys, point, inequality):
+    code, out, err = run_cli(capsys, "eval", "--triangle", UNIT_RIGHT, f"--point={point}",
+                             "--inequality", inequality)
+    assert (code, out, err) == (0, EVAL_STDOUT[point, inequality] + "\n", "")
 
 
 def test_eval_named_inequalities(capsys):
@@ -127,10 +193,23 @@ def test_usage_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [("eval", "--point", "3e-161,3e-161"), ("tighten",)])
 def test_numerical_error_exit_code(capsys, command):
-    # At this scale the radical bisector form underflows and the cross-check
-    # between the two closed forms fails.
+    # At this scale the product 2 R_B R_C of the half-angle bisector form
+    # underflows and the cross-check between the two closed forms fails.
     code, out, err = run_cli(capsys, command[0], "--triangle", "0,0;1e-160,0;0,1e-160",
                              *command[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, point", [
+    ("eval", "1e300,1e300"),
+    ("classify", "1e300,1e300"),
+    ("eval", "1e155,3"),
+])
+def test_far_point_exit_code(capsys, command, point):
+    # Squared distances overflow: a domain error, not a traceback or NaN in the JSON.
+    code, out, err = run_cli(capsys, command, "--triangle", UNIT_RIGHT, "--point", point)
     assert code == 3
     assert out == ""
     assert err.startswith("error:")

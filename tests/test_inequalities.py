@@ -6,14 +6,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barrow import (
+    BaryCoords,
+    BisectorTriple,
     DistanceTriple,
     DomainError,
     InequalityId,
+    InequalityReport,
     OutsideInterior,
     Point2,
     Region,
+    SignedBisectorTriple,
+    SignedDistanceTriple,
+    Term,
     Triangle,
     VertexCoincidence,
+    WeightTriple,
     classic_reports,
     dergiades_report,
     evaluate,
@@ -326,6 +333,42 @@ def test_report_json_shape(unit_right):
     assert data["region"] == "lambda0"
     assert list(data["terms"][0]) == ["side", "weight", "value", "contribution"]
     assert data["lhs"] - data["rhs"] == data["slack"]
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (BaryCoords, ("u", "v", "w")),
+        (DistanceTriple, ("R_A", "R_B", "R_C")),
+        (SignedDistanceTriple, ("d_a", "d_b", "d_c")),
+        (BisectorTriple, ("l_a", "l_b", "l_c")),
+        (SignedBisectorTriple, ("lp_a", "lp_b", "lp_c")),
+        (WeightTriple, ("w_a", "w_b", "w_c")),
+        (Term, ("side", "weight", "value", "contribution")),
+        (InequalityReport, ("inequality", "region", "lhs", "rhs", "slack", "tight", "terms")),
+    ],
+)
+def test_records_unpack_to_their_fields_in_order(record, fields):
+    values = tuple(float(i) for i in range(len(fields)))
+    rec = record(*values)
+    *unpacked, = rec
+    assert unpacked == [getattr(rec, name) for name in fields] == list(values)
+
+
+@pytest.mark.parametrize("exponent", [-270, -330])
+@pytest.mark.parametrize("point", [(0.3, 0.3), (-1.0, 0.5), (2.0, -0.5)], ids=["interior", "strip", "wedge"])
+def test_reports_scale_exactly_at_small_scale(unit_right, exponent, point):
+    # Scaling every coordinate by a power of two is exact, and the bounds are
+    # homogeneous of degree 1, so the report must scale bit for bit.
+    def up(x):
+        return math.ldexp(x, exponent)
+
+    T = Triangle(*(Point2(up(v.x), up(v.y)) for v in unit_right.vertices))
+    base = evaluate(unit_right, Point2(*point))
+    rep = evaluate(T, Point2(up(point[0]), up(point[1])))
+    assert rep.region is base.region
+    assert (rep.lhs, rep.rhs, rep.slack) == (up(base.lhs), up(base.rhs), up(base.slack))
+    assert rep.terms == tuple((t.side, t.weight, up(t.value), up(t.contribution)) for t in base.terms)
 
 
 @settings(max_examples=300)
