@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NumericalError, VertexCoincidence
-from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, dist
+from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, _check_far, dist
 from .regions import SIDE_ENDS
 
 
@@ -87,10 +87,12 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
     """Length of the internal bisector of ∠BMC from M to line BC.
 
     Returns the limit value when M is exactly on line BC: 0 on [BC], the
-    harmonic-mean scale 2 R_B R_C/(R_B + R_C) outside the segment.
+    harmonic-mean scale 2 R_B R_C/(R_B + R_C) outside the segment.  Raises
+    DomainError when the squared distances from M to B and C overflow.
     """
     R_B = dist(M, B)
     R_C = dist(M, C)
+    _check_far(M, (R_B, R_C))
     threshold = COINCIDENCE_FACTOR * dist(B, C)
     if R_B <= threshold:
         raise VertexCoincidence(f"point {M} coincides with {B}", vertex="B")

@@ -11,6 +11,7 @@ digits (lossless for 64-bit floats), and SVG output uses fixed formatting.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -21,15 +22,16 @@ from .harness import (
     TRIANGLE_SHAPES,
     FuzzConfig,
     ScanGrid,
+    ScanRow,
     fuzz,
     grid_scan,
     tightness_search,
 )
-from .inequalities import InequalityId, bound_report
-from .regions import classify_frame
+from .inequalities import DEFAULT_TOL_FACTOR, InequalityId, bound_report
+from .regions import DEFAULT_EPS, classify_frame
 from .svgmap import render_region_map
 
-CSV_HEADER = "x,y,region,R_A,R_B,R_C,lp_a,lp_b,lp_c,lhs,rhs,slack"
+CSV_HEADER = ",".join(ScanRow._fields)
 #: One CSV line per :class:`~barrow.harness.ScanRow`, every float at 17 significant digits.
 _CSV_ROW = "%.17g,%.17g,%s" + ",%.17g" * 9 + "\n"
 
@@ -109,7 +111,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="region of a point in the sideline partition")
     triangle_arg(p)
     p.add_argument("--point", required=True, metavar='"x,y"', help="query point")
-    p.add_argument("--eps", type=_finite_float, default=1e-12,
+    p.add_argument("--eps", type=_finite_float, default=DEFAULT_EPS,
                    help="boundary snap threshold on barycentric coordinates")
 
     p = sub.add_parser("eval", help="evaluate an inequality at a point")
@@ -117,9 +119,9 @@ def build_parser() -> _Parser:
     p.add_argument("--point", required=True, metavar='"x,y"', help="query point")
     p.add_argument("--inequality", choices=sorted(_INEQUALITY_CHOICES), default="signed-barrow",
                    help="which bound to evaluate (default: signed-barrow)")
-    p.add_argument("--eps", type=_finite_float, default=1e-12,
+    p.add_argument("--eps", type=_finite_float, default=DEFAULT_EPS,
                    help="classification snap threshold")
-    p.add_argument("--tol", type=_finite_float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_FACTOR,
                    help="scale-relative tolerance for the tightness flag")
 
     p = sub.add_parser("fuzz", help="stratified non-negativity fuzz")
@@ -127,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="seed of the run")
     p.add_argument("--shape", choices=TRIANGLE_SHAPES, default="random",
                    help="triangle population to draw from")
-    p.add_argument("--tol", type=_finite_float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_FACTOR,
                    help="scale-relative violation tolerance")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers (report is worker-count independent)")
@@ -147,7 +149,8 @@ def build_parser() -> _Parser:
     triangle_arg(p)
     p.add_argument("--inequality", choices=sorted(_INEQUALITY_CHOICES), default="signed-barrow",
                    help="which bound to minimize (default: signed-barrow)")
-    p.add_argument("--starts", type=int, default=14, help="multi-start count")
+    starts = inspect.signature(tightness_search).parameters["starts"].default
+    p.add_argument("--starts", type=int, default=starts, help="multi-start count")
     p.add_argument("--seed", type=int, default=0, help="seed for the start points")
 
     return parser

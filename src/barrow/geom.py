@@ -136,6 +136,14 @@ def _keep_sign(q: float, cross: float, s: float) -> float:
     return q
 
 
+def _check_far(M: Point2, R) -> None:
+    """Raise DomainError when a product of two of the distances R from M overflows."""
+    far = max(R)
+    if not math.isfinite(2.0 * far * far):
+        # The bisector forms multiply two distances; past this they overflow.
+        raise DomainError(f"squared distances from point {M} to the vertices overflow")
+
+
 class PointFrame:
     """What the library reads about a point M against a triangle T, computed once.
 
@@ -160,10 +168,7 @@ class PointFrame:
         self.T = T
         self.M = M
         self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-        far = max(R)
-        if not math.isfinite(2.0 * far * far):
-            # The bisector forms multiply two distances; past this they overflow.
-            raise DomainError(f"squared distances from point {M} to the vertices overflow")
+        _check_far(M, R)
         self.R_sum = R[0] + R[1] + R[2]
         self.cross = k = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
         self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)

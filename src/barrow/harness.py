@@ -25,7 +25,7 @@ from .inequalities import (
     bound_report,
     frame_report,
 )
-from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify, classify_frame
+from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify_frame
 
 #: Sampling strata, in the canonical order used to resolve mix proportions:
 #: the seven open regions, then the sidelines and the vertex neighbourhoods.
@@ -163,7 +163,7 @@ _REGION_TARGETS = {r.value: r for r in OPEN_PATTERNS}
 _BARY_MARGIN = 1e-3
 
 
-def _sample_region_point(rng: random.Random, T: Triangle, region: Region) -> Point2:
+def _sample_region_point(rng: random.Random, T: Triangle, region: Region) -> PointFrame:
     pattern = OPEN_PATTERNS[region]
     negs = [i for i, s in enumerate(pattern) if s < 0]
     best = None
@@ -185,17 +185,16 @@ def _sample_region_point(rng: random.Random, T: Triangle, region: Region) -> Poi
             pos = 3 - negs[0] - negs[1]
             vals[pos] = 1.0 - vals[negs[0]] - vals[negs[1]]
         u, v, w = vals
-        M = Point2(
+        best = F = PointFrame(T, Point2(
             u * T.A.x + v * T.B.x + w * T.C.x,
             u * T.A.y + v * T.B.y + w * T.C.y,
-        )
-        best = M
-        if classify(T, M) is region:
-            return M
+        ))
+        if classify_frame(F) is region:
+            return F
     return best
 
 
-def _sample_sideline_point(rng: random.Random, T: Triangle) -> Point2:
+def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
     V = T.vertices
     best = None
     best_coord = math.inf
@@ -210,20 +209,20 @@ def _sample_sideline_point(rng: random.Random, T: Triangle) -> Point2:
         # The target coordinate is affine with value 1 at the opposite vertex
         # and 0 at P, so one correction step removes the construction error.
         co = barycentric(T, M)[k]
-        M = Point2(M.x - co * (opp.x - P.x), M.y - co * (opp.y - P.y))
-        co = abs(barycentric(T, M)[k])
+        F = PointFrame(T, Point2(M.x - co * (opp.x - P.x), M.y - co * (opp.y - P.y)))
+        co = abs((F.u, F.v, F.w)[k])
         if co < best_coord:
-            best, best_coord = M, co
+            best, best_coord = F, co
         if co <= DEFAULT_EPS:
-            return M
+            return F
     return best
 
 
-def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> Point2:
+def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> PointFrame:
     V = T.vertices[rng.randrange(3)]
     r = T.diameter * 10.0 ** rng.uniform(-10.0, -6.0)
     theta = rng.uniform(0.0, 2.0 * math.pi)
-    return Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta))
+    return PointFrame(T, Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta)))
 
 
 def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
@@ -235,6 +234,11 @@ def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
     within 1e-6 of the diameter of a vertex, exercising the weight blow-up
     without hitting the vertex itself.
     """
+    return _sample_frame(rng, T, target).M
+
+
+def _sample_frame(rng: random.Random, T: Triangle, target) -> PointFrame:
+    """The frame of the point :func:`sample_point` draws, as the sampler built it."""
     if isinstance(target, Region):
         target = target.value
     if target in _REGION_TARGETS:
@@ -264,8 +268,7 @@ def _run_sample(config: FuzzConfig, index: int):
     if config.triangle_shape == "near-degenerate" and stratum == "sideline":
         band = SIDELINE_HEIGHT_BAND
     T = sample_triangle(rng, config.triangle_shape, height_band=band)
-    M = sample_point(rng, T, stratum)
-    F = PointFrame(T, M)
+    F = _sample_frame(rng, T, stratum)
     region = classify_frame(F)
     tol = config.tol_factor
     reports = [
@@ -275,7 +278,7 @@ def _run_sample(config: FuzzConfig, index: int):
     if reports[0].region is Region.LAMBDA0:
         reports.append(frame_report(InequalityId.BARROW1, F, region, tol))
         reports.append(frame_report(InequalityId.ERDOS_MORDELL2, F, region, tol))
-    return T, M, F.R_sum, reports
+    return T, F.M, F.R_sum, reports
 
 
 def _new_aggregate() -> dict:
@@ -540,9 +543,6 @@ class ScanGrid:
     bbox: tuple[float, float, float, float]
     resolution: int
     rows: list
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: int) -> ScanGrid:

@@ -10,14 +10,16 @@ the query point: the weighted bisector bound in the interior, its
 signed-bisector extension in the strip and wedge regions, and the reduced
 two-distance bound when the point sits on a vertex.  Every named bound is
 an entry of one table, :data:`BOUNDS`, that maps its identifier to its
-domain and to its evaluator on a :class:`~barrow.geom.PointFrame`.
+domain and to its evaluator on a :class:`~barrow.geom.PointFrame`; an
+evaluator returns the bound's lhs and terms, and :func:`frame_report` builds
+every report from them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
 from .errors import DomainError, OutsideInterior, VertexCoincidence
@@ -79,34 +81,6 @@ class InequalityReport(NamedTuple):
             "region": self.region.value,
             "terms": [t._asdict() for t in self.terms],
         }
-
-
-def _build_report(
-    inequality: InequalityId,
-    region: Region,
-    lhs: float,
-    weights: tuple[float, ...],
-    values: tuple[float, ...],
-    sides: tuple[str, ...] = ("a", "b", "c"),
-    tol_factor: float = DEFAULT_TOL_FACTOR,
-    scale: float | None = None,
-) -> InequalityReport:
-    terms = tuple(Term(s, w, x, w * x) for s, w, x in zip(sides, weights, values))
-    rhs = 0.0
-    for t in terms:
-        rhs += t.contribution
-    slack = lhs - rhs
-    if scale is None:
-        scale = lhs
-    return InequalityReport(
-        inequality=inequality,
-        region=region,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        tight=abs(slack) <= tol_factor * scale,
-        terms=terms,
-    )
 
 
 def _validate_nonneg(**named: float) -> None:
@@ -230,25 +204,26 @@ def lu_weights(R: DistanceTriple) -> WeightTriple:
 _TWO = (2.0, 2.0, 2.0)
 _VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16)
 
-
-def _barrow(F: PointFrame, region: Region, tol: float) -> InequalityReport:
-    ell = frame_bisectors(F)
-    return _build_report(InequalityId.BARROW1, region, F.R_sum, _TWO, ell, tol_factor=tol)
-
-
-def _erdos_mordell(F: PointFrame, region: Region, tol: float) -> InequalityReport:
-    d = F.signed_distances()
-    return _build_report(InequalityId.ERDOS_MORDELL2, region, F.R_sum, _TWO, d, tol_factor=tol)
+#: What an evaluator says its bound is at a point: the bound, the region it
+#: reports, the lhs, and the (side, weight, value) of each rhs term.
+_Bound = tuple[InequalityId, Region, float, Iterable[tuple[str, float, float]]]
 
 
-def _dergiades(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+def _barrow(F: PointFrame, region: Region) -> _Bound:
+    return InequalityId.BARROW1, region, F.R_sum, zip("abc", _TWO, frame_bisectors(F))
+
+
+def _erdos_mordell(F: PointFrame, region: Region) -> _Bound:
+    return InequalityId.ERDOS_MORDELL2, region, F.R_sum, zip("abc", _TWO, F.signed_distances())
+
+
+def _dergiades(F: PointFrame, region: Region) -> _Bound:
     T = F.T
     weights = (T.c / T.b + T.b / T.c, T.c / T.a + T.a / T.c, T.a / T.b + T.b / T.a)
-    d = F.signed_distances()
-    return _build_report(InequalityId.DERGIADES3, region, F.R_sum, weights, d, tol_factor=tol)
+    return InequalityId.DERGIADES3, region, F.R_sum, zip("abc", weights, F.signed_distances())
 
 
-def _weighted(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+def _weighted(F: PointFrame, region: Region) -> _Bound:
     """The weighted bound with signed bisectors at a non-vertex point.
 
     One arithmetic path for both regimes, so the interior report is
@@ -258,10 +233,10 @@ def _weighted(F: PointFrame, region: Region, tol: float) -> InequalityReport:
     lp = frame_signed_bisectors(F)
     interior = region is Region.LAMBDA0
     inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30
-    return _build_report(inequality, region, F.R_sum, weights, lp, tol_factor=tol)
+    return inequality, region, F.R_sum, zip("abc", weights, lp)
 
 
-def _vertex_report(F: PointFrame, k: int, tol: float) -> InequalityReport:
+def _vertex_report(F: PointFrame, k: int) -> _Bound:
     """Two-distance bound at (or numerically on top of) vertex k.
 
     Only the bisector toward the side opposite the coincident vertex stays
@@ -270,26 +245,24 @@ def _vertex_report(F: PointFrame, k: int, tol: float) -> InequalityReport:
     F.check_not_vertex(allow=k)
     i, j = SIDE_ENDS[k]
     R_i, R_j = F.R[i], F.R[j]
-    return _build_report(
-        _VERTEX_BOUNDS[k], VERTEX_REGIONS[k], R_i + R_j, (_weight(R_i, R_j),),
-        (side_bisector(F, k),), sides=("abc"[k],), tol_factor=tol, scale=F.R_sum,
-    )
+    term = ("abc"[k], _weight(R_i, R_j), side_bisector(F, k))
+    return _VERTEX_BOUNDS[k], VERTEX_REGIONS[k], R_i + R_j, (term,)
 
 
-def _signed_barrow(F: PointFrame, region: Region, tol: float) -> InequalityReport:
+def _signed_barrow(F: PointFrame, region: Region) -> _Bound:
     if region.is_vertex:
-        return _vertex_report(F, VERTEX_REGIONS.index(region), tol)
+        return _vertex_report(F, VERTEX_REGIONS.index(region))
     if F.vertex is not None:
         # Numerically on a vertex even though the sign pattern says otherwise
         # (possible for thin triangles); the weights are unusable there.
-        return _vertex_report(F, F.vertex, tol)
-    return _weighted(F, region, tol)
+        return _vertex_report(F, F.vertex)
+    return _weighted(F, region)
 
 
 #: Every bound that can be requested by name: whether it is interior-only,
-#: and its evaluator ``(frame, region, tol_factor) -> report``.  The vertex
-#: bounds are absent: each holds at one point, where the signed bound routes.
-BOUNDS: dict[InequalityId, tuple[bool, Callable[[PointFrame, Region, float], InequalityReport]]] = {
+#: and its evaluator ``(frame, region) -> _Bound``.  The vertex bounds are
+#: absent: each holds at one point, where the signed bound routes.
+BOUNDS: dict[InequalityId, tuple[bool, Callable[[PointFrame, Region], _Bound]]] = {
     InequalityId.BARROW1: (True, _barrow),
     InequalityId.ERDOS_MORDELL2: (True, _erdos_mordell),
     InequalityId.DERGIADES3: (False, _dergiades),
@@ -309,6 +282,7 @@ def frame_report(
 ) -> InequalityReport:
     """Report of one bound of :data:`BOUNDS` at the frame's point, which lies in ``region``.
 
+    The report is ``tight`` when |slack| <= ``tol_factor`` * (R_A + R_B + R_C).
     An interior-only bound raises OutsideInterior off the open interior and
     VertexCoincidence on a vertex.
     """
@@ -317,7 +291,14 @@ def frame_report(
         if region is not Region.LAMBDA0:
             raise OutsideInterior(f"point {F.M} classifies as {region.value}, not the interior")
         F.check_not_vertex()
-    return evaluator(F, region, tol_factor)
+    inequality, region, lhs, parts = evaluator(F, region)
+    terms = tuple([Term(side, w, x, w * x) for side, w, x in parts])
+    rhs = 0.0
+    for t in terms:
+        rhs += t.contribution
+    slack = lhs - rhs
+    tight = abs(slack) <= tol_factor * F.R_sum
+    return InequalityReport(inequality, region, lhs, rhs, slack, tight, terms)
 
 
 def bound_report(

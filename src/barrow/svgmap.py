@@ -70,13 +70,14 @@ def render_region_map(grid: ScanGrid, T: Triangle, width: int = 480, heatmap: bo
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         '<g id="regions">',
     ]
+    # Each cell's rectangle up to its fill color, shared by both layers.
+    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
+    rects = []
     for row in grid.rows:
         cx = px(row.x) - cell_w / 2.0
         cy = py(row.y) - cell_h / 2.0
-        lines.append(
-            f'<rect x="{_fmt(cx)}" y="{_fmt(cy)}" width="{_fmt(cell_w)}" '
-            f'height="{_fmt(cell_h)}" fill="{REGION_COLORS[row.region]}"/>'
-        )
+        rects.append(f'<rect x="{_fmt(cx)}" y="{_fmt(cy)}" {size} fill="')
+        lines.append(f'{rects[-1]}{REGION_COLORS[row.region]}"/>')
     lines.append("</g>")
 
     if heatmap:
@@ -85,16 +86,11 @@ def render_region_map(grid: ScanGrid, T: Triangle, width: int = 480, heatmap: bo
         hi = max(finite) if finite else 0.0
         span = hi - lo
         lines.append('<g id="slack" opacity="0.55">')
-        for row in grid.rows:
+        for rect, row in zip(rects, grid.rows):
             if row.slack != row.slack:
                 continue
             t = 0.5 if span == 0.0 else (row.slack - lo) / span
-            cx = px(row.x) - cell_w / 2.0
-            cy = py(row.y) - cell_h / 2.0
-            lines.append(
-                f'<rect x="{_fmt(cx)}" y="{_fmt(cy)}" width="{_fmt(cell_w)}" '
-                f'height="{_fmt(cell_h)}" fill="{_ramp_color(t)}"/>'
-            )
+            lines.append(f'{rect}{_ramp_color(t)}"/>')
         lines.append("</g>")
 
     outline = (

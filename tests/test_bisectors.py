@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from barrow import (
+    DomainError,
     Point2,
     VertexCoincidence,
     bisector_length,
@@ -63,6 +64,15 @@ def test_bisector_length_rejects_coincident_endpoint():
     with pytest.raises(VertexCoincidence) as err:
         bisector_length(Point2(1e-14, 1.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
     assert err.value.vertex == "C"
+
+
+def test_bisector_length_rejects_overflowing_squares():
+    # 2 R_B R_C overflows although the bisector itself (R/sqrt(2)) is finite.
+    for far in (1e300, 1e154):
+        with pytest.raises(DomainError):
+            bisector_length(Point2(0.0, 0.0), Point2(far, 0.0), Point2(0.0, far))
+    got = bisector_length(Point2(0.0, 0.0), Point2(1e153, 0.0), Point2(0.0, 1e153))
+    assert math.isclose(got, 1e153 / math.sqrt(2.0), rel_tol=1e-15)
 
 
 def test_bisector_length_continuous_at_segment():

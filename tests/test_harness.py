@@ -20,7 +20,7 @@ from barrow import (
     tightness_search,
 )
 from barrow import harness
-from barrow.geom import barycentric, dist, vertex_distances
+from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
     DEFAULT_REGION_MIX,
     STRATA,
@@ -165,6 +165,19 @@ def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
     report = fuzz(config, workers=10_000)
     assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
     assert fuzz_snapshot(report) == fuzz_snapshot(fuzz(config, workers=1))
+
+
+def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
+    # Only a rejected region draw or a sideline correction step builds a
+    # second frame: about 1.1 frames per sample, against 2 when each
+    # sample's point was measured again for its reports.
+    frames = []
+    init = PointFrame.__init__
+    monkeypatch.setattr(PointFrame, "__init__", lambda F, T, M: frames.append(M) or init(F, T, M))
+    for shape in TRIANGLE_SHAPES:
+        frames.clear()
+        fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
+        assert len(frames) <= 1200
 
 
 def test_fuzz_near_degenerate_shape():

@@ -279,6 +279,24 @@ def test_evaluate_equilateral_circumcenter_tight():
     assert rep.tight
 
 
+@pytest.mark.parametrize(
+    "point, eps, region",
+    [
+        ((0.25, 0.25), 1e-12, Region.LAMBDA0),
+        ((0.75, 0.75), 1e-12, Region.MU1),
+        # Labelled vertex B by the wide eps, 1.4e-4 away from it: R_B is part
+        # of R_A + R_B + R_C but not of the vertex bound's lhs R_A + R_C.
+        ((1.0001, 0.0001), 1e-3, Region.VERTEX_B),
+    ],
+)
+def test_tight_flips_at_slack_over_distance_sum(unit_right, point, eps, region):
+    M = Point2(*point)
+    ratio = abs(evaluate(unit_right, M, eps).slack) / sum(vertex_distances(unit_right, M))
+    assert evaluate(unit_right, M, eps).region is region
+    assert evaluate(unit_right, M, eps, tol_factor=ratio * (1.0 + 1e-9)).tight
+    assert not evaluate(unit_right, M, eps, tol_factor=ratio * (1.0 - 1e-9)).tight
+
+
 def test_evaluate_at_vertex(unit_right):
     rep = evaluate(unit_right, Point2(1.0, 0.0))
     assert rep.inequality is InequalityId.VERTEX_B15
