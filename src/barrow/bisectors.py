@@ -110,9 +110,17 @@ def side_bisector(F: PointFrame, k: int) -> float:
 
 
 def frame_bisectors(F: PointFrame) -> tuple[float, float, float]:
-    """Unsigned bisector lengths toward sides a, b, c of a non-vertex point."""
-    F.check_not_vertex()
-    return (side_bisector(F, 0), side_bisector(F, 1), side_bisector(F, 2))
+    """Unsigned bisector lengths toward sides a, b, c of a non-vertex point, once per frame."""
+    lengths = F.bisectors
+    if lengths is None:
+        F.check_not_vertex()
+        (R_A, R_B, R_C), (k_a, k_b, k_c), (d_a, d_b, d_c) = F.R, F.cross, F.dot
+        F.bisectors = lengths = (
+            _bisector(R_B, R_C, k_a, d_a),
+            _bisector(R_C, R_A, k_b, d_b),
+            _bisector(R_A, R_B, k_c, d_c),
+        )
+    return lengths
 
 
 def frame_signed_bisectors(F: PointFrame) -> tuple[float, float, float]:

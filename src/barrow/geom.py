@@ -9,7 +9,6 @@ M-relative vertex vectors, computed once per point in a :class:`PointFrame`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateTriangle, DomainError, VertexCoincidence
@@ -21,16 +20,20 @@ DEGENERACY_FACTOR = 1e-12
 COINCIDENCE_FACTOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point of the Euclidean plane."""
-
+class _XY(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+
+class Point2(_XY):
+    """A point of the Euclidean plane: an ``(x, y)`` tuple of finite coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
 
 def dist(p: Point2, q: Point2) -> float:
@@ -56,9 +59,11 @@ class Triangle:
         area: signed area of (A, B, C).
         orientation: "counterclockwise" or "clockwise".
         diameter: longest side, the natural length scale of the triangle.
+        ratio_weights: (c/b + b/c, c/a + a/c, a/b + b/a), pairing the two
+            sides that meet side a, b, c; the weights of the Dergiades bound.
     """
 
-    __slots__ = ("A", "B", "C", "a", "b", "c", "area", "orient_sign", "diameter")
+    __slots__ = ("A", "B", "C", "a", "b", "c", "area", "orient_sign", "diameter", "ratio_weights")
 
     def __init__(self, A: Point2, B: Point2, C: Point2):
         self.A = A
@@ -74,6 +79,8 @@ class Triangle:
                 f"triangle {A}, {B}, {C} is degenerate (|area|={abs(self.area):.3e})"
             )
         self.orient_sign = 1.0 if self.area > 0.0 else -1.0
+        a, b, c = self.a, self.b, self.c
+        self.ratio_weights = (c / b + b / c, c / a + a / c, a / b + b / a)
 
     @property
     def orientation(self) -> str:
@@ -153,31 +160,43 @@ class PointFrame:
     (b·c, c·a, a·b); ``u, v, w`` the barycentric coordinates, the crosses
     over twice the area (so a frame reads like :class:`BaryCoords`);
     ``vertex`` the index of the nearest vertex if M lies within
-    ``COINCIDENCE_FACTOR`` of the diameter of it, else None.  Region, signed
-    distances, bisectors and weights all derive from these, so every sign
-    and exact zero comes from one cross product.  Raises DomainError when
-    the squared distances from M to the vertices overflow.
+    ``COINCIDENCE_FACTOR`` of the diameter of it, else None; ``bisectors``
+    the unsigned bisectors toward sides a, b, c once
+    :func:`~barrow.bisectors.frame_bisectors` has computed them, else None.
+    Region, signed distances, bisectors and weights all derive from these,
+    so every sign and exact zero comes from one cross product.  Raises
+    DomainError when the squared distances from M to the vertices overflow.
     """
 
-    __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex")
+    __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex", "bisectors")
 
     def __init__(self, T: Triangle, M: Point2):
-        ax, ay = T.A.x - M.x, T.A.y - M.y
-        bx, by = T.B.x - M.x, T.B.y - M.y
-        cx, cy = T.C.x - M.x, T.C.y - M.y
+        mx, my = M
+        (Ax, Ay), (Bx, By), (Cx, Cy) = T.A, T.B, T.C
+        ax, ay = Ax - mx, Ay - my
+        bx, by = Bx - mx, By - my
+        cx, cy = Cx - mx, Cy - my
         self.T = T
         self.M = M
         self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-        _check_far(M, R)
+        far = max(R)
+        if not math.isfinite(2.0 * far * far):
+            _check_far(M, R)
         self.R_sum = R[0] + R[1] + R[2]
-        self.cross = k = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
+        self.cross = (k_a, k_b, k_c) = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
         self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)
-        s = T.orient_sign
-        self.u = _keep_sign(k[0] / 2.0 / T.area, k[0], s)
-        self.v = _keep_sign(k[1] / 2.0 / T.area, k[1], s)
-        self.w = _keep_sign(k[2] / 2.0 / T.area, k[2], s)
+        area = T.area
+        self.u = u = k_a / 2.0 / area
+        self.v = v = k_b / 2.0 / area
+        self.w = w = k_c / 2.0 / area
+        if u == 0.0 or v == 0.0 or w == 0.0:
+            s = T.orient_sign
+            self.u, self.v, self.w = (
+                _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
+            )
         nearest = min(R)
         self.vertex = R.index(nearest) if nearest <= COINCIDENCE_FACTOR * T.diameter else None
+        self.bisectors = None
 
     def check_not_vertex(self, allow: int | None = None) -> None:
         """Raise VertexCoincidence if M sits on a vertex other than ``allow``."""
@@ -195,6 +214,18 @@ class PointFrame:
             _keep_sign(s * 2.0 * (k_b / 2.0) / T.b, k_b, s),
             _keep_sign(s * 2.0 * (k_c / 2.0) / T.c, k_c, s),
         )
+
+
+def side_coordinate(T: Triangle, M: Point2, k: int) -> float:
+    """Barycentric coordinate ``k`` of M (u, v, w for k = 0, 1, 2), bit for bit as in a frame.
+
+    It is the one cross product of the M-relative vectors to the endpoints of
+    side k (B and C, then C and A, then A and B) over twice the area, without
+    the distances and the other products a :class:`PointFrame` computes.
+    """
+    (px, py), (qx, qy), (mx, my) = T.vertices[(k + 1) % 3], T.vertices[(k + 2) % 3], M
+    cross = (px - mx) * (qy - my) - (py - my) * (qx - mx)
+    return _keep_sign(cross / 2.0 / T.area, cross, T.orient_sign)
 
 
 def barycentric(T: Triangle, M: Point2) -> BaryCoords:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, GeometryError
-from .geom import Point2, PointFrame, Triangle, barycentric
+from .geom import Point2, PointFrame, Triangle, side_coordinate
 from .inequalities import (
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
@@ -163,10 +163,11 @@ _REGION_TARGETS = {r.value: r for r in OPEN_PATTERNS}
 _BARY_MARGIN = 1e-3
 
 
-def _sample_region_point(rng: random.Random, T: Triangle, region: Region) -> PointFrame:
+def _sample_region_point(
+    rng: random.Random, T: Triangle, region: Region
+) -> tuple[PointFrame, Region]:
     pattern = OPEN_PATTERNS[region]
     negs = [i for i, s in enumerate(pattern) if s < 0]
-    best = None
     for _ in range(_MAX_RESAMPLE):
         vals = [0.0, 0.0, 0.0]
         if len(negs) == 0:
@@ -185,13 +186,14 @@ def _sample_region_point(rng: random.Random, T: Triangle, region: Region) -> Poi
             pos = 3 - negs[0] - negs[1]
             vals[pos] = 1.0 - vals[negs[0]] - vals[negs[1]]
         u, v, w = vals
-        best = F = PointFrame(T, Point2(
+        F = PointFrame(T, Point2(
             u * T.A.x + v * T.B.x + w * T.C.x,
             u * T.A.y + v * T.B.y + w * T.C.y,
         ))
-        if classify_frame(F) is region:
-            return F
-    return best
+        got = classify_frame(F)
+        if got is region:
+            break
+    return F, got
 
 
 def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
@@ -208,7 +210,7 @@ def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
         M = Point2(P.x + t * (Q.x - P.x), P.y + t * (Q.y - P.y))
         # The target coordinate is affine with value 1 at the opposite vertex
         # and 0 at P, so one correction step removes the construction error.
-        co = barycentric(T, M)[k]
+        co = side_coordinate(T, M, k)
         F = PointFrame(T, Point2(M.x - co * (opp.x - P.x), M.y - co * (opp.y - P.y)))
         co = abs((F.u, F.v, F.w)[k])
         if co < best_coord:
@@ -234,20 +236,22 @@ def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
     within 1e-6 of the diameter of a vertex, exercising the weight blow-up
     without hitting the vertex itself.
     """
-    return _sample_frame(rng, T, target).M
+    return _sample_frame(rng, T, target)[0].M
 
 
-def _sample_frame(rng: random.Random, T: Triangle, target) -> PointFrame:
-    """The frame of the point :func:`sample_point` draws, as the sampler built it."""
+def _sample_frame(rng: random.Random, T: Triangle, target) -> tuple[PointFrame, Region]:
+    """The frame its sampler built for the point :func:`sample_point` draws, and its region."""
     if isinstance(target, Region):
         target = target.value
     if target in _REGION_TARGETS:
         return _sample_region_point(rng, T, _REGION_TARGETS[target])
     if target == "sideline":
-        return _sample_sideline_point(rng, T)
-    if target == "near-vertex":
-        return _sample_near_vertex_point(rng, T)
-    raise DomainError(f"unknown sampling target {target!r}")
+        F = _sample_sideline_point(rng, T)
+    elif target == "near-vertex":
+        F = _sample_near_vertex_point(rng, T)
+    else:
+        raise DomainError(f"unknown sampling target {target!r}")
+    return F, classify_frame(F)
 
 
 def _pick_stratum(rng: random.Random, mix: dict) -> str:
@@ -268,8 +272,7 @@ def _run_sample(config: FuzzConfig, index: int):
     if config.triangle_shape == "near-degenerate" and stratum == "sideline":
         band = SIDELINE_HEIGHT_BAND
     T = sample_triangle(rng, config.triangle_shape, height_band=band)
-    F = _sample_frame(rng, T, stratum)
-    region = classify_frame(F)
+    F, region = _sample_frame(rng, T, stratum)
     tol = config.tol_factor
     reports = [
         frame_report(InequalityId.SIGNED_BARROW30, F, region, tol),
@@ -431,11 +434,13 @@ def _objective_for(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
 
 
 def _simplex_size(pts) -> float:
+    (x0, y0), (x1, y1), (x2, y2) = pts
     return max(
-        math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-        for i in range(3)
-        for j in range(i + 1, 3)
+        math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2), math.hypot(x1 - x2, y1 - y2)
     )
+
+
+_INDICES = (0, 1, 2)
 
 
 def _nelder_mead(f, x0, step, tol, max_iter=500):
@@ -443,9 +448,10 @@ def _nelder_mead(f, x0, step, tol, max_iter=500):
     pts = [x0, (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
     vals = [f(*p) for p in pts]
     for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: (vals[i], i))
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
+        # Ordered by (value, index): the index breaks ties and no point is compared.
+        (v0, _, p0), (v1, _, p1), (v2, _, p2) = sorted(zip(vals, _INDICES, pts))
+        pts = [p0, p1, p2]
+        vals = [v0, v1, v2]
         if _simplex_size(pts) < tol:
             break
         cx = (pts[0][0] + pts[1][0]) / 2.0
@@ -481,8 +487,8 @@ def _nelder_mead(f, x0, step, tol, max_iter=500):
                 pts[0][1] + 0.5 * (pts[i][1] - pts[0][1]),
             )
             vals[i] = f(*pts[i])
-    order = sorted(range(3), key=lambda i: (vals[i], i))
-    return pts[order[0]], vals[order[0]]
+    best_val, _, best_pt = sorted(zip(vals, _INDICES, pts))[0]
+    return best_pt, best_val
 
 
 def tightness_search(

@@ -21,7 +21,7 @@ import enum
 import math
 from typing import Callable, Iterable, NamedTuple
 
-from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
+from .bisectors import frame_bisectors, side_bisector
 from .errors import DomainError, OutsideInterior, VertexCoincidence
 from .geom import DistanceTriple, Point2, PointFrame, Triangle
 from .regions import DEFAULT_EPS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
@@ -182,11 +182,6 @@ def _weight(x: float, y: float) -> float:
     return math.sqrt(y / x) + math.sqrt(x / y)
 
 
-def _side_weights(R) -> tuple[float, float, float]:
-    """The weight of each side k, pairing the distances to its two endpoints."""
-    return tuple([_weight(R[i], R[j]) for i, j in SIDE_ENDS])
-
-
 def lu_weights(R: DistanceTriple) -> WeightTriple:
     """Weights sqrt(R_y/R_x) + sqrt(R_x/R_y) pairing the two distances off each side.
 
@@ -198,7 +193,7 @@ def lu_weights(R: DistanceTriple) -> WeightTriple:
             raise VertexCoincidence(
                 f"distance to vertex {name} is {value}; weights are undefined there", vertex=name
             )
-    return WeightTriple(*_side_weights(R))
+    return WeightTriple(*[_weight(R[i], R[j]) for i, j in SIDE_ENDS])
 
 
 _TWO = (2.0, 2.0, 2.0)
@@ -218,8 +213,7 @@ def _erdos_mordell(F: PointFrame, region: Region) -> _Bound:
 
 
 def _dergiades(F: PointFrame, region: Region) -> _Bound:
-    T = F.T
-    weights = (T.c / T.b + T.b / T.c, T.c / T.a + T.a / T.c, T.a / T.b + T.b / T.a)
+    weights = F.T.ratio_weights
     return InequalityId.DERGIADES3, region, F.R_sum, zip("abc", weights, F.signed_distances())
 
 
@@ -229,11 +223,16 @@ def _weighted(F: PointFrame, region: Region) -> _Bound:
     One arithmetic path for both regimes, so the interior report is
     bit-identical to what the signed formula yields there.
     """
-    weights = _side_weights(F.R)
-    lp = frame_signed_bisectors(F)
+    R_A, R_B, R_C = F.R
+    l_a, l_b, l_c = frame_bisectors(F)
+    terms = (
+        ("a", _weight(R_B, R_C), -l_a if F.u < 0.0 else l_a),
+        ("b", _weight(R_C, R_A), -l_b if F.v < 0.0 else l_b),
+        ("c", _weight(R_A, R_B), -l_c if F.w < 0.0 else l_c),
+    )
     interior = region is Region.LAMBDA0
     inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30
-    return inequality, region, F.R_sum, zip("abc", weights, lp)
+    return inequality, region, F.R_sum, terms
 
 
 def _vertex_report(F: PointFrame, k: int) -> _Bound:
@@ -292,13 +291,17 @@ def frame_report(
             raise OutsideInterior(f"point {F.M} classifies as {region.value}, not the interior")
         F.check_not_vertex()
     inequality, region, lhs, parts = evaluator(F, region)
-    terms = tuple([Term(side, w, x, w * x) for side, w, x in parts])
+    # Summed left to right from 0.0; ``_make`` builds a record without the
+    # keyword-argument handling of the constructor.
+    terms = []
     rhs = 0.0
-    for t in terms:
-        rhs += t.contribution
+    for side, w, x in parts:
+        contribution = w * x
+        rhs += contribution
+        terms.append(Term._make((side, w, x, contribution)))
     slack = lhs - rhs
     tight = abs(slack) <= tol_factor * F.R_sum
-    return InequalityReport(inequality, region, lhs, rhs, slack, tight, terms)
+    return InequalityReport._make((inequality, region, lhs, rhs, slack, tight, tuple(terms)))
 
 
 def bound_report(

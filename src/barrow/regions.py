@@ -53,12 +53,12 @@ class Region(enum.Enum):
 
 def sign_pattern(bc: BaryCoords | PointFrame, eps: float = DEFAULT_EPS) -> tuple[int, int, int]:
     """Snap each coordinate u, v, w to -1, 0 or +1, treating |x| <= eps as zero."""
-    def sgn(x: float) -> int:
-        if abs(x) <= eps:
-            return 0
-        return 1 if x > 0.0 else -1
-
-    return (sgn(bc.u), sgn(bc.v), sgn(bc.w))
+    u, v, w = bc.u, bc.v, bc.w
+    return (
+        0 if abs(u) <= eps else 1 if u > 0.0 else -1,
+        0 if abs(v) <= eps else 1 if v > 0.0 else -1,
+        0 if abs(w) <= eps else 1 if w > 0.0 else -1,
+    )
 
 
 #: Coordinate sign pattern of each full-dimensional region's open part.
@@ -94,13 +94,14 @@ def classify_pattern(pattern: tuple[int, int, int]) -> Region:
     belongs to the closed strip, not the open wedge).  The snapped pattern
     then names an open region; ``(-1, -1, -1)`` raises ValueError.
     """
+    region = _REGION_BY_PATTERN.get(pattern)
+    if region is not None:
+        return region
     if pattern.count(0) >= 2:
         return VERTEX_REGIONS[pattern.index(max(pattern))]
-    snapped = pattern
     if 0 in pattern:
         zero = 1 if -1 in pattern else -1
-        snapped = tuple(zero if s == 0 else s for s in pattern)
-    region = _REGION_BY_PATTERN.get(snapped)
+        region = _REGION_BY_PATTERN.get(tuple(zero if s == 0 else s for s in pattern))
     if region is None:
         raise ValueError(f"impossible sign pattern {pattern}: u + v + w = 1")
     return region

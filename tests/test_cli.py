@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -233,6 +234,37 @@ def test_fuzz_json_deterministic_across_workers(capsys):
     code, second, _ = run_cli(capsys, *args, "--workers", "2")
     assert code == 0
     assert second == first
+
+
+#: SHA-256 of the stdout of fuzz JSON and tighten runs, which other tests
+#: check only for consistency: a kernel change that moves a single bit of a
+#: slack, a term or a search path changes these bytes.  Like
+#: bench/digests.json they were made with the libm of glibc 2.36.
+PINNED_STDOUT_SHA256 = {
+    ("fuzz", "--n", "2000", "--seed", "7", "--json", "--shape", "random"):
+        "30c22d1be91f03fc7faddcb5f4a18b9ed87152223a7981be402cb47e650c112e",
+    ("fuzz", "--n", "2000", "--seed", "7", "--json", "--shape", "near-degenerate"):
+        "0d5cfc2a118dca377547c3bc6aa91e68a7582d1261666125068737f06a5dcff7",
+    ("fuzz", "--n", "2000", "--seed", "7", "--json", "--shape", "equilateral-perturbed"):
+        "a10b8bcbdf095cc6bd8bad443609b2f4c07eacc185ebf97233fcc332e1682781",
+    ("tighten", "--triangle", "0,0;4,0;1,2", "--inequality", "barrow"):
+        "99197987d06780c331d3ecf35ae203d823928d078085519e5b716f25f85b20c9",
+    ("tighten", "--triangle", "0,0;4,0;1,2", "--inequality", "dergiades"):
+        "ffdd776824ba2b92119205e4c37559028f04269eb1d5b6506bf4a4a5f6532f89",
+    ("tighten", "--triangle", "0,0;4,0;1,2", "--inequality", "erdos-mordell"):
+        "8f9607da6c50a118a5771668aa9478a9787edeb447cd53646ccf387bb34dc686",
+    ("tighten", "--triangle", "0,0;4,0;1,2", "--inequality", "lu"):
+        "94fbfed4317ca3a431817e51fc8eb9a5a9a56cb5d49e8260191072614e6c51a1",
+    ("tighten", "--triangle", "0,0;4,0;1,2", "--inequality", "signed-barrow"):
+        "7e88281b19dd47db06559c4036938698381a824f073f8bd59c539803dc63a92d",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT_SHA256), ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_fuzz_and_tighten_stdout_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == PINNED_STDOUT_SHA256[argv]
 
 
 def test_fuzz_violation_exit_code(capsys):

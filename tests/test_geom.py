@@ -1,10 +1,12 @@
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
 
-from barrow import DegenerateTriangle, Point2, PointFrame, Triangle
-from barrow.geom import barycentric, dist, signed_area, signed_distances, vertex_distances
+from barrow import DegenerateTriangle, Point2, PointFrame, Triangle, sample_point, sample_triangle
+from barrow.geom import barycentric, dist, side_coordinate, signed_area, signed_distances, vertex_distances
 
 from conftest import points_in, triangles
 from oracles import point_line_distance
@@ -16,6 +18,23 @@ def test_point_rejects_non_finite(bad):
         Point2(bad, 0.0)
     with pytest.raises(ValueError):
         Point2(0.0, bad)
+
+
+def test_point_contract():
+    p = Point2(1.0, 2.0)
+    assert repr(p) == str(p) == "Point2(x=1.0, y=2.0)"
+    assert (p.x, p.y) == tuple(p) == (1.0, 2.0)
+    assert hash(p) == hash((1.0, 2.0))
+    assert p == Point2(1, 2) == (1.0, 2.0)
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(AttributeError):
+        p.x = 3.0
+    with pytest.raises(AttributeError):
+        p.z = 3.0
+    with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(nan, 0\.0\)$"):
+        Point2(float("nan"), 0.0)
+    with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(1\.0, -inf\)$"):
+        Point2(1.0, -float("inf"))
 
 
 def test_signed_area_orientation():
@@ -177,6 +196,25 @@ def test_frame_reproduces_distance_and_area_bits(t, m):
     assert frame.R == (dist(m, t.A), dist(m, t.B), dist(m, t.C))
     for k, (p, q) in enumerate(((t.B, t.C), (t.C, t.A), (t.A, t.B))):
         assert frame.cross[k] / 2.0 == signed_area(m, p, q)
+
+
+def test_side_coordinate_has_the_frame_bits(unit_right):
+    # The sideline sampler reads one coordinate without building a frame;
+    # it must be the frame's coordinate bit for bit, including the signed
+    # subnormal that stands for an underflowed nonzero ratio.
+    huge = Triangle(Point2(0.0, 0.0), Point2(1e150, 0.0), Point2(0.0, 1e150))
+    cases = [(huge, Point2(1e-200, 1.0)), (unit_right, Point2(0.5, 0.5)), (unit_right, Point2(-1.0, 2.0))]
+    assert PointFrame(*cases[0]).v == 5e-324
+    rng = random.Random(31)
+    for i in range(2000):
+        T = sample_triangle(rng, ("random", "near-degenerate", "equilateral-perturbed")[i % 3])
+        for stratum in ("sideline", "lambda0", "mu5", "near-vertex"):
+            cases.append((T, sample_point(rng, T, stratum)))
+        cases.append((T, Point2(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))))
+    for T, M in cases:
+        F = PointFrame(T, M)
+        for k, coordinate in enumerate((F.u, F.v, F.w)):
+            assert side_coordinate(T, M, k).hex() == coordinate.hex()
 
 
 def test_dist():

@@ -19,7 +19,7 @@ from barrow import (
     sample_triangle,
     tightness_search,
 )
-from barrow import harness
+from barrow import bisectors, harness, regions
 from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
     DEFAULT_REGION_MIX,
@@ -168,8 +168,8 @@ def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
 
 
 def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
-    # Only a rejected region draw or a sideline correction step builds a
-    # second frame: about 1.1 frames per sample, against 2 when each
+    # Only a rejected region draw or a missed sideline snap builds a second
+    # frame: at most 1.008 frames per sample here, against 2 when each
     # sample's point was measured again for its reports.
     frames = []
     init = PointFrame.__init__
@@ -177,7 +177,26 @@ def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
     for shape in TRIANGLE_SHAPES:
         frames.clear()
         fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
-        assert len(frames) <= 1200
+        assert len(frames) <= 1020
+
+
+def test_fuzz_does_each_kernel_step_once_per_sample(monkeypatch):
+    # Each sample computes its three bisectors once, however many of its
+    # reports read them, and is classified once, by its sampler.
+    calls = {"bisector": 0, "classify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bisectors, "_bisector", counted("bisector", bisectors._bisector))
+    monkeypatch.setattr(regions, "classify_pattern", counted("classify", regions.classify_pattern))
+    for shape in TRIANGLE_SHAPES:
+        calls.update(bisector=0, classify=0)
+        fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
+        assert calls == {"bisector": 3000, "classify": 1000}
 
 
 def test_fuzz_near_degenerate_shape():
