@@ -35,6 +35,11 @@ class Point2(_XY):
             raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
         return tuple.__new__(cls, (x, y))
 
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited ``_replace`` builds through ``_make``, so both check too.
+        return cls(*iterable)
+
 
 def dist(p: Point2, q: Point2) -> float:
     """Euclidean distance |pq|."""
@@ -179,21 +184,14 @@ class PointFrame:
         self.T = T
         self.M = M
         self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-        far = max(R)
-        if not math.isfinite(2.0 * far * far):
-            _check_far(M, R)
+        _check_far(M, R)
         self.R_sum = R[0] + R[1] + R[2]
         self.cross = (k_a, k_b, k_c) = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
         self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)
-        area = T.area
-        self.u = u = k_a / 2.0 / area
-        self.v = v = k_b / 2.0 / area
-        self.w = w = k_c / 2.0 / area
-        if u == 0.0 or v == 0.0 or w == 0.0:
-            s = T.orient_sign
-            self.u, self.v, self.w = (
-                _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
-            )
+        area, s = T.area, T.orient_sign
+        self.u = _keep_sign(k_a / 2.0 / area, k_a, s)
+        self.v = _keep_sign(k_b / 2.0 / area, k_b, s)
+        self.w = _keep_sign(k_c / 2.0 / area, k_c, s)
         nearest = min(R)
         self.vertex = R.index(nearest) if nearest <= COINCIDENCE_FACTOR * T.diameter else None
         self.bisectors = None

@@ -21,7 +21,7 @@ import enum
 import math
 from typing import Callable, Iterable, NamedTuple
 
-from .bisectors import frame_bisectors, side_bisector
+from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
 from .errors import DomainError, OutsideInterior, VertexCoincidence
 from .geom import DistanceTriple, Point2, PointFrame, Triangle
 from .regions import DEFAULT_EPS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
@@ -224,11 +224,11 @@ def _weighted(F: PointFrame, region: Region) -> _Bound:
     bit-identical to what the signed formula yields there.
     """
     R_A, R_B, R_C = F.R
-    l_a, l_b, l_c = frame_bisectors(F)
+    lp_a, lp_b, lp_c = frame_signed_bisectors(F)
     terms = (
-        ("a", _weight(R_B, R_C), -l_a if F.u < 0.0 else l_a),
-        ("b", _weight(R_C, R_A), -l_b if F.v < 0.0 else l_b),
-        ("c", _weight(R_A, R_B), -l_c if F.w < 0.0 else l_c),
+        ("a", _weight(R_B, R_C), lp_a),
+        ("b", _weight(R_C, R_A), lp_b),
+        ("c", _weight(R_A, R_B), lp_c),
     )
     interior = region is Region.LAMBDA0
     inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30

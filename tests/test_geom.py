@@ -35,6 +35,14 @@ def test_point_contract():
         Point2(float("nan"), 0.0)
     with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(1\.0, -inf\)$"):
         Point2(1.0, -float("inf"))
+    assert p._replace(y=5.0) == Point2(1.0, 5.0) and type(p._replace(y=5.0)) is Point2
+    assert Point2._make((3.0, 4.0)) == Point2(3.0, 4.0)
+    with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(nan, 2\.0\)$"):
+        p._replace(x=float("nan"))
+    with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(inf, 0\.0\)$"):
+        Point2._make((float("inf"), 0.0))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        p._replace(z=1.0)
 
 
 def test_signed_area_orientation():
