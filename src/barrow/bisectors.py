@@ -50,7 +50,8 @@ class SignedBisectorTriple(NamedTuple):
 
 def _bisector(R_B: float, R_C: float, cross: float, dot: float) -> float:
     """Both closed forms from the distances to B and C and (B-M)×(C-M), (B-M)·(C-M)."""
-    scale = 2.0 * R_B * R_C / (R_B + R_C)
+    s = R_B + R_C
+    scale = 2.0 * R_B * R_C / s
 
     if cross == 0.0:
         # M exactly on line BC; dot < 0 iff M strictly inside the segment.
@@ -60,17 +61,17 @@ def _bisector(R_B: float, R_C: float, cross: float, dot: float) -> float:
     half_angle_form = scale * math.cos(0.5 * alpha)
 
     # (R_B+R_C)^2 - side^2 without the cancellation of the literal parenthesis,
-    # in units of 2^e so that no product of small lengths underflows.  Scaling
-    # by a power of two is exact: wherever the unscaled formula neither
-    # underflows nor overflows, this gives its bits.
-    e = math.frexp(R_B + R_C)[1]
-    r_b, r_c = math.ldexp(R_B, -e), math.ldexp(R_C, -e)
-    k, d = math.ldexp(cross, -2 * e), math.ldexp(dot, -2 * e)
+    # in units of s = R_B + R_C: no product of small lengths underflows where
+    # the half-angle form's 2 R_B R_C does, so the check still catches that.
+    # The radical form is only compared (and printed on a mismatch), never
+    # returned, so the rounding of the division by s reaches no result.
+    r_b, r_c = R_B / s, R_C / s
     if dot >= 0.0:
-        excess = 2.0 * (d + r_b * r_c)
+        excess = 2.0 * (dot / s / s + r_b * r_c)
     else:
-        excess = 2.0 * k * k / (r_b * r_c - d)
-    radical_form = math.ldexp(math.sqrt(r_b * r_c) * math.sqrt(excess) / (r_b + r_c), e)
+        k = cross / s / s
+        excess = 2.0 * k * k / (r_b * r_c - dot / s / s)
+    radical_form = s * math.sqrt(r_b * r_c) * math.sqrt(excess)
 
     # Cross-check the independent forms on every call.  The absolute floor
     # covers the half-angle form's error (~eps * scale) next to the segment,

@@ -542,6 +542,10 @@ class ScanRow(NamedTuple):
     slack: float
 
 
+#: Column of each rhs term's side among ``lp_a, lp_b, lp_c``.
+_SIDE_COLUMN = {"a": 0, "b": 1, "c": 2}
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Row-major cell-center scan of a bounding box (y varies slowest)."""
@@ -571,7 +575,8 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
             x = x0 + (ix + 0.5) * dx
             F = PointFrame(T, Point2(x, y))
             rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
-            by_side = {term.side: term.value for term in rep.terms}
-            lp = [by_side.get(side, math.nan) for side in "abc"]
+            lp = [math.nan, math.nan, math.nan]
+            for side, _, value, _ in rep.terms:
+                lp[_SIDE_COLUMN[side]] = value
             rows.append(ScanRow(x, y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

@@ -288,20 +288,21 @@ def frame_report(
     interior_only, evaluator = BOUNDS[inequality]
     if interior_only:
         if region is not Region.LAMBDA0:
-            raise OutsideInterior(f"point {F.M} classifies as {region.value}, not the interior")
+            raise OutsideInterior(F.M, region)
         F.check_not_vertex()
     inequality, region, lhs, parts = evaluator(F, region)
-    # Summed left to right from 0.0; ``_make`` builds a record without the
-    # keyword-argument handling of the constructor.
+    # Summed left to right from 0.0.  ``tuple.__new__`` builds a record in
+    # field order without the argument handling of the constructor or the
+    # length check of ``_make``.
     terms = []
     rhs = 0.0
     for side, w, x in parts:
         contribution = w * x
         rhs += contribution
-        terms.append(Term._make((side, w, x, contribution)))
+        terms.append(tuple.__new__(Term, (side, w, x, contribution)))
     slack = lhs - rhs
     tight = abs(slack) <= tol_factor * F.R_sum
-    return InequalityReport._make((inequality, region, lhs, rhs, slack, tight, tuple(terms)))
+    return tuple.__new__(InequalityReport, (inequality, region, lhs, rhs, slack, tight, tuple(terms)))
 
 
 def bound_report(

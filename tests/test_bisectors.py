@@ -5,13 +5,16 @@ from hypothesis import assume, given, settings
 
 from barrow import (
     DomainError,
+    NumericalError,
     Point2,
     VertexCoincidence,
     bisector_length,
     bisector_lengths,
     signed_bisectors,
 )
+from barrow.bisectors import _bisector
 from barrow.geom import barycentric, dist
+from barrow.regions import SIDE_ENDS
 
 from conftest import points_in, triangles
 from oracles import ray_bisector_length
@@ -73,6 +76,37 @@ def test_bisector_length_rejects_overflowing_squares():
             bisector_length(Point2(0.0, 0.0), Point2(far, 0.0), Point2(0.0, far))
     got = bisector_length(Point2(0.0, 0.0), Point2(1e153, 0.0), Point2(0.0, 1e153))
     assert math.isclose(got, 1e153 / math.sqrt(2.0), rel_tol=1e-15)
+
+
+def _scaled_unit_right_bisectors(m, k):
+    """The three kernel calls of the unit right triangle at point m, all scaled by 2^k."""
+    rel = [(math.ldexp(x - m[0], k), math.ldexp(y - m[1], k)) for x, y in ((0, 0), (1, 0), (0, 1))]
+    for i, j in SIDE_ENDS:
+        (ux, uy), (vx, vy) = rel[i], rel[j]
+        _bisector(math.hypot(ux, uy), math.hypot(vx, vy), ux * vy - uy * vx, ux * vx + uy * vy)
+
+
+def test_bisector_cross_check_is_live_at_every_scale():
+    # R_B = R_C = 1 with cross = dot = 1/2 is no triangle: the half-angle
+    # form reads cos(pi/8), the radical form sqrt(3)/2.
+    for k in (-400, 0, 400):
+        r, q = math.ldexp(1.0, k), math.ldexp(0.5, 2 * k)
+        with pytest.raises(NumericalError):
+            _bisector(r, r, q, q)
+    # At 2^-540, R_B R_C underflows to zero and so does the half-angle form.
+    # A radical form built on that product would read zero too and agree.
+    r, q = math.ldexp(1.0, -540), math.ldexp(1.0, -1000)
+    with pytest.raises(NumericalError):
+        _bisector(r, r, q, q)
+    # Interior, strip and wedge points.  Near 2^-530 the half-angle form's
+    # 2 R_B R_C is subnormal and loses digits that the radical form keeps,
+    # so the check must fire.  (Below about 2^-539 every cross product
+    # underflows to zero and nothing is left to compare; Triangle refuses
+    # such triangles from 2^-536 on.)
+    for m in ((0.25, 0.25), (1.0, 1.0), (-0.5, -0.5), (2.0, -0.5)):
+        _scaled_unit_right_bisectors(m, -500)
+        with pytest.raises(NumericalError):
+            _scaled_unit_right_bisectors(m, -530)
 
 
 def test_bisector_length_continuous_at_segment():

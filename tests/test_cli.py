@@ -148,12 +148,14 @@ def test_eval_named_inequalities(capsys):
 
 
 def test_eval_interior_bound_outside_interior_fails(capsys):
-    code, _, err = run_cli(
-        capsys, "eval", "--triangle", UNIT_RIGHT, "--point", "1,1",
-        "--inequality", "lu",
-    )
-    assert code == 3
-    assert "error" in err
+    for inequality in ("lu", "barrow", "erdos-mordell"):
+        code, out, err = run_cli(
+            capsys, "eval", "--triangle", UNIT_RIGHT, "--point", "1,1",
+            "--inequality", inequality,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: point Point2(x=1.0, y=1.0) classifies as mu1, not the interior\n"
 
 
 def test_eval_classic_outside_interior_fails(capsys):

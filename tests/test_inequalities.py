@@ -208,8 +208,9 @@ def test_classic_reports_equilateral_circumcenter_equality():
 
 
 def test_classic_reports_reject_exterior(unit_right):
-    with pytest.raises(OutsideInterior):
+    with pytest.raises(OutsideInterior) as err:
         classic_reports(unit_right, Point2(1.0, 1.0))
+    assert str(err.value) == "point Point2(x=1.0, y=1.0) classifies as mu1, not the interior"
     with pytest.raises(OutsideInterior):
         classic_reports(unit_right, Point2(0.5, 0.5))
 
