@@ -20,7 +20,7 @@ used: 0 on the closed segment [BC], the harmonic-mean scale
 
 from __future__ import annotations
 
-import math
+from math import atan2, cos, sqrt
 from typing import NamedTuple
 
 from .errors import NumericalError, VertexCoincidence
@@ -57,26 +57,28 @@ def _bisector(R_B: float, R_C: float, cross: float, dot: float) -> float:
         # M exactly on line BC; dot < 0 iff M strictly inside the segment.
         return 0.0 if dot < 0.0 else scale
 
-    alpha = math.atan2(abs(cross), dot)
-    half_angle_form = scale * math.cos(0.5 * alpha)
+    alpha = atan2(abs(cross), dot)
+    half_angle_form = scale * cos(0.5 * alpha)
 
     # (R_B+R_C)^2 - side^2 without the cancellation of the literal parenthesis,
     # in units of s = R_B + R_C: no product of small lengths underflows where
     # the half-angle form's 2 R_B R_C does, so the check still catches that.
     # The radical form is only compared (and printed on a mismatch), never
     # returned, so the rounding of the division by s reaches no result.
-    r_b, r_c = R_B / s, R_C / s
+    rr = (R_B / s) * (R_C / s)
     if dot >= 0.0:
-        excess = 2.0 * (dot / s / s + r_b * r_c)
+        excess = 2.0 * (dot / s / s + rr)
     else:
         k = cross / s / s
-        excess = 2.0 * k * k / (r_b * r_c - dot / s / s)
-    radical_form = s * math.sqrt(r_b * r_c) * math.sqrt(excess)
+        excess = 2.0 * k * k / (rr - dot / s / s)
+    radical_form = s * sqrt(rr) * sqrt(excess)
 
     # Cross-check the independent forms on every call.  The absolute floor
     # covers the half-angle form's error (~eps * scale) next to the segment,
-    # where both values are genuinely tiny.
-    if abs(half_angle_form - radical_form) > 1e-10 * max(half_angle_form, radical_form) + 1e-13 * scale:
+    # where both values are genuinely tiny.  ``larger`` is what
+    # max(half_angle_form, radical_form) returns, NaN included.
+    larger = radical_form if radical_form > half_angle_form else half_angle_form
+    if abs(half_angle_form - radical_form) > 1e-10 * larger + 1e-13 * scale:
         raise NumericalError(
             f"bisector closed forms disagree: {half_angle_form!r} vs {radical_form!r} "
             f"(R={R_B!r}, {R_C!r}, cross={cross!r}, dot={dot!r})"

@@ -183,16 +183,26 @@ class PointFrame:
         cx, cy = Cx - mx, Cy - my
         self.T = T
         self.M = M
-        self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-        _check_far(M, R)
-        self.R_sum = R[0] + R[1] + R[2]
+        R_A, R_B, R_C = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
+        self.R = R = (R_A, R_B, R_C)
+        # ``_check_far`` and ``_keep_sign`` are called only where they can
+        # act: on an overflowing square and on a zero ratio.  No distance is
+        # NaN, so the comparisons pick what max and min would.
+        far = R_B if R_B > R_A else R_A
+        far = R_C if R_C > far else far
+        if 2.0 * far * far == math.inf:
+            _check_far(M, R)
+        self.R_sum = R_A + R_B + R_C
         self.cross = (k_a, k_b, k_c) = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
         self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)
-        area, s = T.area, T.orient_sign
-        self.u = _keep_sign(k_a / 2.0 / area, k_a, s)
-        self.v = _keep_sign(k_b / 2.0 / area, k_b, s)
-        self.w = _keep_sign(k_c / 2.0 / area, k_c, s)
-        nearest = min(R)
+        area = T.area
+        u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
+        if not (u and v and w):
+            s = T.orient_sign
+            u, v, w = _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
+        self.u, self.v, self.w = u, v, w
+        nearest = R_B if R_B < R_A else R_A
+        nearest = R_C if R_C < nearest else nearest
         self.vertex = R.index(nearest) if nearest <= COINCIDENCE_FACTOR * T.diameter else None
         self.bisectors = None
 

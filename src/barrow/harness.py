@@ -4,6 +4,10 @@ Everything here is reproducible by construction: sample ``i`` of a run is
 derived from its own ``random.Random(seed ^ i)`` stream, so results do not
 depend on execution order and a parallel run folds to the same report as a
 sequential one (partial aggregates are merged in sample-index order).
+
+The fuzz, the search and the scan read each bound's values from
+:func:`~barrow.inequalities.frame_values` and build no report records; their
+numbers are the reports' numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, GeometryError
 from .geom import Point2, PointFrame, Triangle, side_coordinate
 from .inequalities import (
+    BOUNDS,
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
     VERTEX_IDS,
     InequalityId,
-    bound_report,
-    frame_report,
+    frame_values,
 )
 from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify_frame
 
@@ -264,8 +268,20 @@ def _pick_stratum(rng: random.Random, mix: dict) -> str:
     return STRATA[-1]
 
 
+_SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
+    BOUNDS[InequalityId.SIGNED_BARROW30],
+    BOUNDS[InequalityId.DERGIADES3],
+    BOUNDS[InequalityId.BARROW1],
+    BOUNDS[InequalityId.ERDOS_MORDELL2],
+)
+
+
 def _run_sample(config: FuzzConfig, index: int):
-    """Evaluate all applicable inequalities on sample ``index``."""
+    """Evaluate all applicable inequalities on sample ``index``.
+
+    Returns the triangle, the point, R_A + R_B + R_C and one
+    ``(inequality, region, slack)`` per report the sample would give.
+    """
     rng = random.Random(config.seed ^ index)
     stratum = _pick_stratum(rng, config.region_mix)
     band = DEFAULT_HEIGHT_BAND
@@ -273,15 +289,13 @@ def _run_sample(config: FuzzConfig, index: int):
         band = SIDELINE_HEIGHT_BAND
     T = sample_triangle(rng, config.triangle_shape, height_band=band)
     F, region = _sample_frame(rng, T, stratum)
-    tol = config.tol_factor
-    reports = [
-        frame_report(InequalityId.SIGNED_BARROW30, F, region, tol),
-        frame_report(InequalityId.DERGIADES3, F, region, tol),
-    ]
-    if reports[0].region is Region.LAMBDA0:
-        reports.append(frame_report(InequalityId.BARROW1, F, region, tol))
-        reports.append(frame_report(InequalityId.ERDOS_MORDELL2, F, region, tol))
-    return T, F.M, F.R_sum, reports
+    values = [frame_values(_SIGNED, F, region), frame_values(_DERGIADES, F, region)]
+    # A lambda0 signed report rules out a vertex, so the interior-only
+    # bounds are defined here.
+    if values[0][1] is Region.LAMBDA0:
+        values.append(frame_values(_BARROW, F, region))
+        values.append(frame_values(_ERDOS_MORDELL, F, region))
+    return T, F.M, F.R_sum, [(inequality, got, lhs - rhs) for inequality, got, lhs, rhs, _ in values]
 
 
 def _new_aggregate() -> dict:
@@ -302,15 +316,15 @@ def _lower_min(cell: dict, slack: float, index: int, where: Callable[[], tuple])
 
 
 def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
-    T, M, scale, reports = _run_sample(config, index)
+    T, M, scale, slacks = _run_sample(config, index)
     tol = config.tol_factor * scale
 
     def where():
         return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [M.x, M.y]
 
-    for rep in reports:
+    for inequality, region, slack in slacks:
         agg["total_reports"] += 1
-        key = f"{rep.inequality.value}/{rep.region.value}"
+        key = f"{inequality.value}/{region.value}"
         cell = agg["cells"].get(key)
         if cell is None:
             cell = {
@@ -323,16 +337,16 @@ def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
             }
             agg["cells"][key] = cell
         cell["count"] += 1
-        _lower_min(cell, rep.slack, index, where)
-        if rep.slack < -tol:
+        _lower_min(cell, slack, index, where)
+        if slack < -tol:
             cell["violation_count"] += 1
             triangle, point = where()
             agg["violations"].append(
                 {
                     "index": index,
-                    "inequality": rep.inequality.value,
-                    "region": rep.region.value,
-                    "slack": rep.slack,
+                    "inequality": inequality.value,
+                    "region": region.value,
+                    "slack": slack,
                     "tol": tol,
                     "triangle": triangle,
                     "point": point,
@@ -423,12 +437,21 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
 
 
 def _objective_for(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
+    """The slack ``bound_report(inequality, T, Point2(x, y))`` gives, or inf where that raises."""
+    bound = BOUNDS[inequality]
+
     def f(x: float, y: float) -> float:
         try:
-            return bound_report(inequality, T, Point2(x, y)).slack
+            F = PointFrame(T, Point2(x, y))
+            values = frame_values(bound, F, classify_frame(F))
         except (GeometryError, ValueError):
             # Off the bound's domain, or a coordinate the simplex sent to inf.
             return math.inf
+        if values is None:
+            # Outside the interior, for an interior-only bound.
+            return math.inf
+        _, _, lhs, rhs, _ = values
+        return lhs - rhs
 
     return f
 
@@ -558,8 +581,10 @@ class ScanGrid:
 def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: int) -> ScanGrid:
     """Classify and evaluate the weighted bound at every cell center.
 
-    Vertex-coincident cells report the reduced vertex bound, with the two
-    undefined bisector columns as NaN.
+    Each row holds the values ``frame_report(SIGNED_BARROW30, ...)`` reports
+    at its cell center.  Vertex-coincident cells report the reduced vertex
+    bound, with the two undefined bisector columns as NaN.  Raises
+    DomainError when the box is empty or its cells are too wide for floats.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
@@ -568,15 +593,17 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
         raise DomainError(f"empty bounding box {bbox}")
     dx = (x1 - x0) / resolution
     dy = (y1 - y0) / resolution
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise DomainError(f"bounding box {bbox} is too wide: its cell size overflows")
     rows = []
     for iy in range(resolution):
         y = y0 + (iy + 0.5) * dy
         for ix in range(resolution):
             x = x0 + (ix + 0.5) * dx
             F = PointFrame(T, Point2(x, y))
-            rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
+            _, region, lhs, rhs, parts = frame_values(_SIGNED, F, classify_frame(F))
             lp = [math.nan, math.nan, math.nan]
-            for side, _, value, _ in rep.terms:
+            for side, _, value in parts:
                 lp[_SIDE_COLUMN[side]] = value
-            rows.append(ScanRow(x, y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack))
+            rows.append(ScanRow(x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

@@ -11,8 +11,9 @@ signed-bisector extension in the strip and wedge regions, and the reduced
 two-distance bound when the point sits on a vertex.  Every named bound is
 an entry of one table, :data:`BOUNDS`, that maps its identifier to its
 domain and to its evaluator on a :class:`~barrow.geom.PointFrame`; an
-evaluator returns the bound's lhs and terms, and :func:`frame_report` builds
-every report from them.
+evaluator returns the bound's lhs and terms, :func:`frame_values` sums them,
+and :func:`frame_report` builds every report from those values.  The fuzz,
+scan and search read :func:`frame_values` and build no report.
 """
 
 from __future__ import annotations
@@ -203,6 +204,13 @@ _VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId
 #: reports, the lhs, and the (side, weight, value) of each rhs term.
 _Bound = tuple[InequalityId, Region, float, Iterable[tuple[str, float, float]]]
 
+#: A bound's entry in :data:`BOUNDS`: whether it is interior-only, and its evaluator.
+_Entry = tuple[bool, Callable[[PointFrame, Region], _Bound]]
+
+#: What :func:`frame_values` returns: an evaluator's bound, region and lhs,
+#: then the rhs and the (side, weight, value) parts it sums.
+_Values = tuple[InequalityId, Region, float, float, tuple[tuple[str, float, float], ...]]
+
 
 def _barrow(F: PointFrame, region: Region) -> _Bound:
     return InequalityId.BARROW1, region, F.R_sum, zip("abc", _TWO, frame_bisectors(F))
@@ -261,7 +269,7 @@ def _signed_barrow(F: PointFrame, region: Region) -> _Bound:
 #: Every bound that can be requested by name: whether it is interior-only,
 #: and its evaluator ``(frame, region) -> _Bound``.  The vertex bounds are
 #: absent: each holds at one point, where the signed bound routes.
-BOUNDS: dict[InequalityId, tuple[bool, Callable[[PointFrame, Region], _Bound]]] = {
+BOUNDS: dict[InequalityId, _Entry] = {
     InequalityId.BARROW1: (True, _barrow),
     InequalityId.ERDOS_MORDELL2: (True, _erdos_mordell),
     InequalityId.DERGIADES3: (False, _dergiades),
@@ -276,33 +284,47 @@ INTERIOR_IDS = frozenset(i for i, (interior_only, _) in BOUNDS.items() if interi
 VERTEX_IDS = frozenset(InequalityId).difference(BOUNDS)
 
 
+def frame_values(bound: _Entry, F: PointFrame, region: Region) -> _Values | None:
+    """Values of ``bound``, an entry of :data:`BOUNDS`, at the frame's point in ``region``.
+
+    None when the bound is interior-only and ``region`` is not the open
+    interior; VertexCoincidence when it is interior-only and the point is on
+    a vertex.  The rhs is summed left to right from 0.0.  The jobs read these
+    values directly; :func:`frame_report` builds the records from them.
+    """
+    interior_only, evaluator = bound
+    if interior_only:
+        if region is not Region.LAMBDA0:
+            return None
+        F.check_not_vertex()
+    inequality, region, lhs, parts = evaluator(F, region)
+    parts = tuple(parts)
+    rhs = 0.0
+    for _, w, x in parts:
+        rhs += w * x
+    return inequality, region, lhs, rhs, parts
+
+
 def frame_report(
     inequality: InequalityId, F: PointFrame, region: Region, tol_factor: float = DEFAULT_TOL_FACTOR
 ) -> InequalityReport:
     """Report of one bound of :data:`BOUNDS` at the frame's point, which lies in ``region``.
 
-    The report is ``tight`` when |slack| <= ``tol_factor`` * (R_A + R_B + R_C).
-    An interior-only bound raises OutsideInterior off the open interior and
-    VertexCoincidence on a vertex.
+    The values are those of :func:`frame_values`; the report adds the
+    ``Term`` records and is ``tight`` when |slack| <= ``tol_factor`` *
+    (R_A + R_B + R_C).  An interior-only bound raises OutsideInterior off the
+    open interior and VertexCoincidence on a vertex.
     """
-    interior_only, evaluator = BOUNDS[inequality]
-    if interior_only:
-        if region is not Region.LAMBDA0:
-            raise OutsideInterior(F.M, region)
-        F.check_not_vertex()
-    inequality, region, lhs, parts = evaluator(F, region)
-    # Summed left to right from 0.0.  ``tuple.__new__`` builds a record in
-    # field order without the argument handling of the constructor or the
-    # length check of ``_make``.
-    terms = []
-    rhs = 0.0
-    for side, w, x in parts:
-        contribution = w * x
-        rhs += contribution
-        terms.append(tuple.__new__(Term, (side, w, x, contribution)))
+    values = frame_values(BOUNDS[inequality], F, region)
+    if values is None:
+        raise OutsideInterior(F.M, region)
+    inequality, region, lhs, rhs, parts = values
     slack = lhs - rhs
     tight = abs(slack) <= tol_factor * F.R_sum
-    return tuple.__new__(InequalityReport, (inequality, region, lhs, rhs, slack, tight, tuple(terms)))
+    # ``tuple.__new__`` builds a record in field order without the argument
+    # handling of the constructor or the length check of ``_make``.
+    terms = tuple(tuple.__new__(Term, (side, w, x, w * x)) for side, w, x in parts)
+    return tuple.__new__(InequalityReport, (inequality, region, lhs, rhs, slack, tight, terms))
 
 
 def bound_report(

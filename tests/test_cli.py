@@ -373,3 +373,17 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == '{"region":"mu1","bary":[-3,2,2]}\n'
+
+
+def test_scan_overflowing_bbox_exits_3():
+    # The cell width overflows; that is a domain error (exit 3), not the
+    # "violations found" exit 1 of a traceback.
+    result = subprocess.run(
+        [sys.executable, "-m", "barrow", "scan", "--triangle", "0,0;4,0;1,2",
+         "--bbox=-1e308,0,1e308,1", "--resolution", "2"],
+        capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr

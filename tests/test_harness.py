@@ -19,7 +19,8 @@ from barrow import (
     sample_triangle,
     tightness_search,
 )
-from barrow import bisectors, harness, regions
+from barrow import bisectors, errors, harness, inequalities, regions
+from barrow.errors import GeometryError
 from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
     DEFAULT_REGION_MIX,
@@ -27,6 +28,8 @@ from barrow.harness import (
     TRIANGLE_SHAPES,
     _nelder_mead,
 )
+from barrow.inequalities import bound_report, frame_report
+from barrow.regions import classify_frame
 
 
 def fuzz_snapshot(report):
@@ -313,3 +316,89 @@ def test_grid_scan_region_fractions(unit_right):
     grid = grid_scan(unit_right, (0.0, 0.0, 1.0, 1.0), 100)
     interior = sum(1 for row in grid.rows if row.region == "lambda0")
     assert abs(interior / len(grid.rows) - 0.5) < 0.05
+
+
+def test_grid_scan_rejects_overflowing_cells(scalene):
+    # x1 - x0 overflows, so every cell center would be inf.
+    with pytest.raises(DomainError, match="too wide"):
+        grid_scan(scalene, (-1e308, 0.0, 1e308, 1.0), 2)
+    with pytest.raises(DomainError, match="too wide"):
+        grid_scan(scalene, (0.0, -1e308, 1.0, 1e308), 2)
+
+
+def same_bits(a, b):
+    """Equal strings, or floats with equal bits (NaN equals NaN)."""
+    return a == b if isinstance(a, str) else float.hex(a) == float.hex(b)
+
+
+#: Interior, the six strips and wedges, sidelines and their extensions, the
+#: vertices and a point 1e-13 off one, far points and non-finite coordinates.
+OBJECTIVE_POINTS = [
+    (1.3, 0.7), (2.0, -0.5), (3.0, 2.0), (-0.5, 1.0), (-0.5, -0.5), (5.0, -0.5), (1.0, 3.0),
+    (2.0, 0.0), (-1.0, 0.0), (0.5, 1.0), (0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (1e-13, 1e-13),
+    (1e150, 0.0), (1e200, 0.0), (0.0, -1e200), (-1e200, 1e200),
+    (math.inf, 0.0), (0.5, -math.inf), (math.nan, 1.0),
+]
+
+
+@pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
+def test_search_objective_is_the_report_slack(scalene, inequality):
+    # The search reads the slack without building a report; it must be the
+    # report's slack bit for bit, and inf wherever the report raises.
+    objective = harness._objective_for(scalene, inequality)
+    for x, y in OBJECTIVE_POINTS:
+        try:
+            expected = bound_report(inequality, scalene, Point2(x, y)).slack
+        except (GeometryError, ValueError):
+            expected = math.inf
+        assert same_bits(objective(x, y), expected), (inequality, x, y)
+
+
+@pytest.mark.parametrize("triangle, bbox, resolution", [
+    (Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 2.0)), (-1.0, -1.0, 5.0, 3.0), 16),
+    (Triangle(Point2(0.5, 0.5), Point2(2.0, 0.0), Point2(0.0, 2.0)), (-1.0, -1.0, 1.0, 1.0), 2),
+])
+def test_grid_scan_rows_are_the_report_values(triangle, bbox, resolution):
+    grid = grid_scan(triangle, bbox, resolution)
+    assert len(grid.rows) == resolution * resolution
+    for row in grid.rows:
+        F = PointFrame(triangle, Point2(row.x, row.y))
+        rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
+        lp = [math.nan, math.nan, math.nan]
+        for term in rep.terms:
+            lp["abc".index(term.side)] = term.value
+        expected = (row.x, row.y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack)
+        assert all(same_bits(got, want) for got, want in zip(row, expected, strict=True)), row
+
+
+def test_jobs_build_no_reports(monkeypatch, scalene):
+    # The jobs read values, not records: no report and no discarded
+    # OutsideInterior, while the public bound_report still builds one report.
+    calls = {"frame_report": 0, "OutsideInterior": 0}
+    frame_report_ = inequalities.frame_report
+    outside_init = errors.OutsideInterior.__init__
+
+    def counted_report(*args):
+        calls["frame_report"] += 1
+        return frame_report_(*args)
+
+    def counted_outside(self, *args):
+        calls["OutsideInterior"] += 1
+        outside_init(self, *args)
+
+    # harness too, so the count holds should it import the name itself.
+    for module in (inequalities, harness):
+        monkeypatch.setattr(module, "frame_report", counted_report, raising=False)
+    monkeypatch.setattr(errors.OutsideInterior, "__init__", counted_outside)
+
+    for inequality in inequalities.BOUNDS:
+        tightness_search(scalene, inequality, starts=3, seed=1)
+    grid_scan(scalene, (-1.0, -1.0, 5.0, 3.0), 16)
+    fuzz(FuzzConfig(n=300, seed=5))
+    assert calls == {"frame_report": 0, "OutsideInterior": 0}
+
+    bound_report(InequalityId.BARROW1, scalene, Point2(1.3, 0.7))
+    assert calls == {"frame_report": 1, "OutsideInterior": 0}
+    with pytest.raises(errors.OutsideInterior):
+        bound_report(InequalityId.BARROW1, scalene, Point2(-0.5, -0.5))
+    assert calls == {"frame_report": 2, "OutsideInterior": 1}
