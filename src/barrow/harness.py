@@ -268,6 +268,8 @@ def _pick_stratum(rng: random.Random, mix: dict) -> str:
     return STRATA[-1]
 
 
+#: The ``BOUNDS`` entries the fuzz and the scan evaluate, looked up once:
+#: hashing an ``InequalityId`` runs Python code on every lookup.
 _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
     BOUNDS[InequalityId.SIGNED_BARROW30],
     BOUNDS[InequalityId.DERGIADES3],
