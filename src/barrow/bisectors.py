@@ -20,10 +20,11 @@ used: 0 on the closed segment [BC], the harmonic-mean scale
 
 from __future__ import annotations
 
+import sys
 from math import atan2, cos, sqrt
 from typing import NamedTuple
 
-from .errors import NumericalError, VertexCoincidence
+from .errors import DomainError, NumericalError, VertexCoincidence
 from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, _check_far, dist
 from .regions import SIDE_ENDS
 
@@ -91,7 +92,9 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
 
     Returns the limit value when M is exactly on line BC: 0 on [BC], the
     harmonic-mean scale 2 R_B R_C/(R_B + R_C) outside the segment.  Raises
-    DomainError when the squared distances from M to B and C overflow.
+    DomainError when the squared distances from M to B and C overflow, or
+    when (B-M)×(C-M) is zero and |(B-M)·(C-M)| is below the smallest normal
+    float: that zero may be an underflow rather than a point on the line.
     """
     R_B = dist(M, B)
     R_C = dist(M, C)
@@ -103,7 +106,10 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
         raise VertexCoincidence(f"point {M} coincides with {C}", vertex="C")
     ux, uy = B.x - M.x, B.y - M.y
     vx, vy = C.x - M.x, C.y - M.y
-    return _bisector(R_B, R_C, ux * vy - uy * vx, ux * vx + uy * vy)
+    cross, dot = ux * vy - uy * vx, ux * vx + uy * vy
+    if cross == 0.0 and abs(dot) < sys.float_info.min:
+        raise DomainError(f"products of the vectors from point {M} to {B} and {C} underflow")
+    return _bisector(R_B, R_C, cross, dot)
 
 
 def side_bisector(F: PointFrame, k: int) -> float:

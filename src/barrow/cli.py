@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
 
 def _triangle_from_args(args) -> Triangle:
     ax, ay, bx, by, cx, cy = parse_triangle(args.triangle)
-    return Triangle.from_coords(ax, ay, bx, by, cx, cy)
+    return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
 
 def _cmd_classify(args) -> int:

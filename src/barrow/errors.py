@@ -2,12 +2,6 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .geom import Point2
-    from .regions import Region
-
 
 class GeometryError(Exception):
     """Base class for all geometric domain errors."""
@@ -29,20 +23,7 @@ class VertexCoincidence(GeometryError):
 
 
 class OutsideInterior(GeometryError):
-    """An interior-only inequality was requested for a point outside the open triangle.
-
-    ``point`` is the query point and ``region`` the region it classifies as.
-    The message is formatted only when the exception is shown: a tightness
-    search meets this error on many steps and discards it.
-    """
-
-    def __init__(self, point: Point2, region: Region):
-        super().__init__(point, region)
-        self.point = point
-        self.region = region
-
-    def __str__(self) -> str:
-        return f"point {self.point} classifies as {self.region.value}, not the interior"
+    """An interior-only inequality was requested for a point outside the open triangle."""
 
 
 class DomainError(GeometryError):

@@ -62,7 +62,7 @@ class Triangle:
         A, B, C: the vertices.
         a, b, c: side lengths |BC|, |CA|, |AB|.
         area: signed area of (A, B, C).
-        orientation: "counterclockwise" or "clockwise".
+        orient_sign: 1.0 if (A, B, C) runs counterclockwise, else -1.0.
         diameter: longest side, the natural length scale of the triangle.
         ratio_weights: (c/b + b/c, c/a + a/c, a/b + b/a), pairing the two
             sides that meet side a, b, c; the weights of the Dergiades bound.
@@ -88,16 +88,8 @@ class Triangle:
         self.ratio_weights = (c / b + b / c, c / a + a / c, a / b + b / a)
 
     @property
-    def orientation(self) -> str:
-        return "counterclockwise" if self.orient_sign > 0.0 else "clockwise"
-
-    @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return (self.A, self.B, self.C)
-
-    @classmethod
-    def from_coords(cls, ax, ay, bx, by, cx, cy) -> "Triangle":
-        return cls(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
     def __repr__(self):
         return f"Triangle({self.A}, {self.B}, {self.C})"
@@ -120,9 +112,6 @@ class DistanceTriple(NamedTuple):
     R_A: float
     R_B: float
     R_C: float
-
-    def sum(self) -> float:
-        return self.R_A + self.R_B + self.R_C
 
 
 class SignedDistanceTriple(NamedTuple):

@@ -278,28 +278,6 @@ _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
 )
 
 
-def _run_sample(config: FuzzConfig, index: int):
-    """Evaluate all applicable inequalities on sample ``index``.
-
-    Returns the triangle, the point, R_A + R_B + R_C and one
-    ``(inequality, region, slack)`` per report the sample would give.
-    """
-    rng = random.Random(config.seed ^ index)
-    stratum = _pick_stratum(rng, config.region_mix)
-    band = DEFAULT_HEIGHT_BAND
-    if config.triangle_shape == "near-degenerate" and stratum == "sideline":
-        band = SIDELINE_HEIGHT_BAND
-    T = sample_triangle(rng, config.triangle_shape, height_band=band)
-    F, region = _sample_frame(rng, T, stratum)
-    values = [frame_values(_SIGNED, F, region), frame_values(_DERGIADES, F, region)]
-    # A lambda0 signed report rules out a vertex, so the interior-only
-    # bounds are defined here.
-    if values[0][1] is Region.LAMBDA0:
-        values.append(frame_values(_BARROW, F, region))
-        values.append(frame_values(_ERDOS_MORDELL, F, region))
-    return T, F.M, F.R_sum, [(inequality, got, lhs - rhs) for inequality, got, lhs, rhs, _ in values]
-
-
 def _new_aggregate() -> dict:
     return {"total_reports": 0, "cells": {}, "violations": []}
 
@@ -318,13 +296,27 @@ def _lower_min(cell: dict, slack: float, index: int, where: Callable[[], tuple])
 
 
 def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
-    T, M, scale, slacks = _run_sample(config, index)
-    tol = config.tol_factor * scale
+    """Evaluate every applicable inequality on sample ``index`` and fold the slacks into ``agg``."""
+    rng = random.Random(config.seed ^ index)
+    stratum = _pick_stratum(rng, config.region_mix)
+    band = DEFAULT_HEIGHT_BAND
+    if config.triangle_shape == "near-degenerate" and stratum == "sideline":
+        band = SIDELINE_HEIGHT_BAND
+    T = sample_triangle(rng, config.triangle_shape, height_band=band)
+    F, region = _sample_frame(rng, T, stratum)
+    tol = config.tol_factor * F.R_sum
+    values = [frame_values(_SIGNED, F, region), frame_values(_DERGIADES, F, region)]
+    # A lambda0 signed report rules out a vertex, so the interior-only
+    # bounds are defined here.
+    if values[0][1] is Region.LAMBDA0:
+        values.append(frame_values(_BARROW, F, region))
+        values.append(frame_values(_ERDOS_MORDELL, F, region))
 
     def where():
-        return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [M.x, M.y]
+        return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [F.M.x, F.M.y]
 
-    for inequality, region, slack in slacks:
+    for inequality, region, lhs, rhs, _ in values:
+        slack = lhs - rhs
         agg["total_reports"] += 1
         key = f"{inequality.value}/{region.value}"
         cell = agg["cells"].get(key)

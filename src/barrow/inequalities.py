@@ -1,19 +1,20 @@
 """Slack evaluators for the distance/bisector inequalities.
 
-Every evaluator returns an :class:`InequalityReport` carrying the left- and
-right-hand sides, the slack ``lhs - rhs`` (non-negative for all valid inputs,
-up to floating-point tolerance; that non-negativity is the property the rest
-of the repository tests), and a per-side breakdown of the right-hand side.
+Every named bound is an entry of one table, :data:`BOUNDS`, that maps its
+identifier to its domain and to its evaluator on a
+:class:`~barrow.geom.PointFrame`.  An evaluator returns a ``_Bound``: the
+bound, the region, the lhs and the (side, weight, value) parts of the rhs.
+:func:`frame_values` applies the domain and sums the rhs; the fuzz, scan and
+search read those values and build no records.  Only :func:`frame_report`
+builds an :class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative
+for all valid inputs, up to floating-point tolerance; that non-negativity is
+the property the rest of the repository tests), ``tight`` and one
+:class:`Term` per rhs part.
 
-The central evaluator is :func:`evaluate`, which dispatches on the region of
-the query point: the weighted bisector bound in the interior, its
+The central public evaluator is :func:`evaluate`, which dispatches on the
+region of the query point: the weighted bisector bound in the interior, its
 signed-bisector extension in the strip and wedge regions, and the reduced
-two-distance bound when the point sits on a vertex.  Every named bound is
-an entry of one table, :data:`BOUNDS`, that maps its identifier to its
-domain and to its evaluator on a :class:`~barrow.geom.PointFrame`; an
-evaluator returns the bound's lhs and terms, :func:`frame_values` sums them,
-and :func:`frame_report` builds every report from those values.  The fuzz,
-scan and search read :func:`frame_values` and build no report.
+two-distance bound when the point sits on a vertex.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class WeightTriple(NamedTuple):
     w_a: float
     w_b: float
     w_c: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.w_a, self.w_b, self.w_c)
 
 
 class Term(NamedTuple):
@@ -317,14 +315,12 @@ def frame_report(
     """
     values = frame_values(BOUNDS[inequality], F, region)
     if values is None:
-        raise OutsideInterior(F.M, region)
+        raise OutsideInterior(f"point {F.M} classifies as {region.value}, not the interior")
     inequality, region, lhs, rhs, parts = values
     slack = lhs - rhs
     tight = abs(slack) <= tol_factor * F.R_sum
-    # ``tuple.__new__`` builds a record in field order without the argument
-    # handling of the constructor or the length check of ``_make``.
-    terms = tuple(tuple.__new__(Term, (side, w, x, w * x)) for side, w, x in parts)
-    return tuple.__new__(InequalityReport, (inequality, region, lhs, rhs, slack, tight, terms))
+    terms = tuple(Term(side, w, x, w * x) for side, w, x in parts)
+    return InequalityReport(inequality, region, lhs, rhs, slack, tight, terms)
 
 
 def bound_report(

@@ -46,10 +46,6 @@ class Region(enum.Enum):
     def is_vertex(self) -> bool:
         return self in VERTEX_REGIONS
 
-    @property
-    def is_interior(self) -> bool:
-        return self is Region.LAMBDA0
-
 
 def sign_pattern(bc: BaryCoords | PointFrame, eps: float = DEFAULT_EPS) -> tuple[int, int, int]:
     """Snap each coordinate u, v, w to -1, 0 or +1, treating |x| <= eps as zero."""

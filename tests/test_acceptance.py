@@ -312,13 +312,13 @@ def test_interior_reduction_and_distance_domination():
         w = lu_weights(R)
         ell = bisector_lengths(T, M)
         rhs = 0.0
-        for weight, value in zip(w.as_tuple(), (ell.l_a, ell.l_b, ell.l_c)):
+        for weight, value in zip(w, (ell.l_a, ell.l_b, ell.l_c)):
             rhs += weight * value
         if rep.rhs != rhs:
             bad = f"weighted rhs not bit-identical to the interior form at {M} in {T}"
             break
         d = signed_distances(T, M)
-        tol = 1e-12 * R.sum()
+        tol = 1e-12 * sum(R)
         if (
             ell.l_a < d.d_a - tol
             or ell.l_b < d.d_b - tol

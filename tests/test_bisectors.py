@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 
 from barrow import (
     DomainError,
+    GeometryError,
     NumericalError,
     Point2,
     VertexCoincidence,
@@ -107,6 +108,42 @@ def test_bisector_cross_check_is_live_at_every_scale():
         _scaled_unit_right_bisectors(m, -500)
         with pytest.raises(NumericalError):
             _scaled_unit_right_bisectors(m, -530)
+
+
+def test_bisector_length_is_exact_or_raises_at_tiny_scales():
+    # Homogeneity: at scale 2^k the bisector is 2^k times the unit-scale one.
+    # Below about 2^-537 cross products underflow to zero and the collinear
+    # branch used to return 0.0 or a wrong limit value without an error.
+    # Interior, strip, wedge and sideline points of the unit right triangle,
+    # dyadic so that scaling by 2^k is exact until they go subnormal.
+    points = (
+        (0.25, 0.25), (0.125, 0.5), (0.75, 0.75), (-0.25, 0.5), (0.5, -0.25),
+        (-0.5, -0.5), (1.5, -0.25), (-0.25, 1.5), (0.5, 0.0), (3.0, 0.0),
+    )
+    V = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+    def scaled(p, k):
+        return Point2(math.ldexp(p[0], k), math.ldexp(p[1], k))
+
+    raised = 0
+    for m in points:
+        for i, j in SIDE_ENDS:
+            if m in (V[i], V[j]):
+                continue
+            unit = bisector_length(Point2(*m), Point2(*V[i]), Point2(*V[j]))
+            assert bisector_length(scaled(m, -500), scaled(V[i], -500), scaled(V[j], -500)) == (
+                math.ldexp(unit, -500))
+            for k in range(-400, -1075, -1):
+                want = math.ldexp(unit, k)
+                try:
+                    got = bisector_length(scaled(m, k), scaled(V[i], k), scaled(V[j], k))
+                except GeometryError:
+                    raised += 1
+                    continue
+                assert abs(got - want) <= 1e-9 * abs(want), (m, (i, j), k, got, want)
+    assert raised > 0
+    assert bisector_length(Point2(0.25, 0.25), Point2(1.0, 0.0), Point2(0.0, 1.0)) == (
+        0.35355339059327384)
 
 
 def test_bisector_length_continuous_at_segment():

@@ -1,11 +1,16 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import barrow
 from barrow import FuzzConfig, Point2, Triangle, evaluate, fuzz, grid_scan
 from barrow.cli import CSV_HEADER, main, parse_point, parse_triangle
 from barrow.errors import UsageError
@@ -387,3 +392,60 @@ def test_scan_overflowing_bbox_exits_3():
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    # Every "$ barrow ..." line of the README followed by an output line must
+    # print that line; "..." stands for an omitted middle.  A change to the
+    # seed streams must regenerate these examples.
+    lines = (ROOT / "README.md").read_text().splitlines()
+    checked = []
+    for command, shown in zip(lines, lines[1:]):
+        if not command.startswith("$ barrow ") or not shown or shown[0] in "$`":
+            continue
+        argv = shlex.split(command)[2:]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), command
+        if "..." in shown:
+            head, tail = shown.split("...")
+            assert out.startswith(head) and out.endswith(tail + "\n"), command
+        else:
+            assert out == shown + "\n", command
+        checked.append(argv[0])
+    assert checked == ["classify", "eval", "fuzz", "tighten"]
+    assert "fuzz: n=2000 seed=7 shape=random reports=4864 violations=0" in lines
+    # The library quick tour.
+    T = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
+    slack = evaluate(T, Point2(0.3, 0.3)).slack
+    assert slack == 0.10702580538855244
+    assert any(line.startswith("rep.slack ") and f"# {slack!r} " in line for line in lines)
+
+
+def _imported_barrow_names(path: Path):
+    """(module, name) per ``from barrow... import name``, (module, None) per ``import barrow...``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "barrow":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "barrow":
+                    yield alias.name, None
+
+
+def test_public_names_the_benchmark_uses_resolve():
+    # Tier-1 does not run bench/, so a public name it imports could vanish unnoticed.
+    imported = {pair for path in sorted((ROOT / "bench").glob("*.py"))
+                for pair in _imported_barrow_names(path)}
+    assert ("barrow.inequalities", "evaluate") in imported
+    for module, name in sorted(imported, key=str):
+        found = importlib.import_module(module)
+        assert name is None or hasattr(found, name), f"{module}.{name}"
+    for name in barrow.__all__:
+        assert hasattr(barrow, name), name
+    # bench/spans.py reads the coordinates of barycentric(...) through as_tuple.
+    T = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
+    assert barrow.barycentric(T, Point2(0.25, 0.5)).as_tuple() == (0.25, 0.25, 0.5)

@@ -58,12 +58,12 @@ def test_triangle_metrics(unit_right):
     assert unit_right.c == 1.0
     assert unit_right.area == 0.5
     assert unit_right.diameter == math.sqrt(2.0)
-    assert unit_right.orientation == "counterclockwise"
+    assert unit_right.orient_sign == 1.0
 
 
 def test_triangle_cw_orientation():
     t = Triangle(Point2(0.0, 0.0), Point2(0.0, 1.0), Point2(1.0, 0.0))
-    assert t.orientation == "clockwise"
+    assert t.orient_sign == -1.0
     assert t.area == -0.5
 
 
@@ -125,7 +125,7 @@ def test_vertex_distances(unit_right):
     assert r.R_A == math.sqrt(2.0)
     assert r.R_B == 1.0
     assert r.R_C == 1.0
-    assert r.sum() == math.sqrt(2.0) + 2.0
+    assert r.R_A + r.R_B + r.R_C == math.sqrt(2.0) + 2.0
 
 
 def test_signed_distances_interior_positive(unit_right):

@@ -264,7 +264,7 @@ def test_tightness_search_equilateral_finds_circumcenter(equilateral):
 def test_tightness_search_interior_only_for_interior_ids(scalene):
     point, slack = tightness_search(scalene, InequalityId.LU_WEIGHTED13, starts=4, seed=8)
     assert classify(scalene, point) is Region.LAMBDA0
-    assert slack >= -1e-9 * vertex_distances(scalene, point).sum()
+    assert slack >= -1e-9 * sum(vertex_distances(scalene, point))
 
 
 def test_tightness_search_deterministic(scalene):

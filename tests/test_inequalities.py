@@ -131,12 +131,12 @@ def test_identity_residuals_vanish(p, q, r, beta, alpha):
 
 
 def test_lu_weights_values():
-    assert lu_weights(DistanceTriple(1.0, 1.0, 1.0)).as_tuple() == (2.0, 2.0, 2.0)
+    assert tuple(lu_weights(DistanceTriple(1.0, 1.0, 1.0))) == (2.0, 2.0, 2.0)
     w = lu_weights(DistanceTriple(math.sqrt(2.0), 1.0, 1.0))
     assert w.w_a == 2.0
     assert math.isclose(w.w_b, 2.0301035302564356, rel_tol=1e-15)
     assert w.w_c == w.w_b
-    assert lu_weights(DistanceTriple(4.0, 1.0, 1.0)).as_tuple() == (2.0, 2.5, 2.5)
+    assert tuple(lu_weights(DistanceTriple(4.0, 1.0, 1.0))) == (2.0, 2.5, 2.5)
 
 
 def test_lu_weights_reject_zero_distance():
@@ -152,7 +152,7 @@ def test_lu_weights_reject_zero_distance():
     st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_lu_weights_at_least_two(ra, rb, rc):
-    for w in lu_weights(DistanceTriple(ra, rb, rc)).as_tuple():
+    for w in lu_weights(DistanceTriple(ra, rb, rc)):
         assert w >= 2.0 - 1e-12
 
 
@@ -228,7 +228,7 @@ def test_bisector_dominates_distance_inside(t, s1, s2):
     assume(min(dist(m, v) for v in t.vertices) > 1e-9 * t.diameter)
     ell = bisector_lengths(t, m)
     d = signed_distances(t, m)
-    scale = vertex_distances(t, m).sum()
+    scale = sum(vertex_distances(t, m))
     for left, right in ((ell.l_a, d.d_a), (ell.l_b, d.d_b), (ell.l_c, d.d_c)):
         assert left >= right - 1e-12 * scale
 
@@ -254,7 +254,7 @@ def test_evaluate_interior_is_weighted_bound(unit_right):
     weights = lu_weights(vertex_distances(unit_right, Point2(0.25, 0.25)))
     ell = bisector_lengths(unit_right, Point2(0.25, 0.25))
     rhs = 0.0
-    for w, x in zip(weights.as_tuple(), (ell.l_a, ell.l_b, ell.l_c)):
+    for w, x in zip(weights, (ell.l_a, ell.l_b, ell.l_c)):
         rhs += w * x
     assert rep.rhs == rhs
 
@@ -394,7 +394,7 @@ def test_reports_scale_exactly_at_small_scale(unit_right, exponent, point):
 @given(triangles(), points_in())
 def test_evaluate_never_negative(t, m):
     rep = evaluate(t, m)
-    scale = vertex_distances(t, m).sum()
+    scale = sum(vertex_distances(t, m))
     assert rep.slack >= -1e-9 * scale
 
 
@@ -402,7 +402,7 @@ def test_evaluate_never_negative(t, m):
 @given(triangles(), points_in())
 def test_dergiades_never_negative(t, m):
     rep = dergiades_report(t, m)
-    scale = vertex_distances(t, m).sum()
+    scale = sum(vertex_distances(t, m))
     assert rep.slack >= -1e-9 * scale
 
 
@@ -416,7 +416,7 @@ def test_evaluate_homogeneity(t, m, k):
         Point2(k * t.C.x, k * t.C.y),
     )
     scaled = evaluate(scaled_t, Point2(k * m.x, k * m.y))
-    scale = vertex_distances(t, m).sum()
+    scale = sum(vertex_distances(t, m))
     assert abs(scaled.slack - k * base.slack) <= 1e-10 * k * scale
 
 

@@ -132,8 +132,8 @@ def test_classify_matches_vertex_order_independence():
 
 
 def test_region_properties():
-    assert Region.LAMBDA0.is_interior
-    assert not Region.MU1.is_interior
+    assert Region("lambda0") is Region.LAMBDA0
+    assert Region("mu1") is not Region.LAMBDA0
     assert Region.VERTEX_A.is_vertex
     assert not Region.MU4.is_vertex
     assert Region.MU2.value == "mu2"
