@@ -223,13 +223,14 @@ def _cmd_scan(args) -> int:
     else:
         bbox = _default_bbox(T)
     grid = grid_scan(T, bbox, args.resolution)
+    # Rendered first, so a box the map cannot draw fails before any output.
+    svg = render_region_map(grid, T, heatmap=args.heatmap) if args.svg else None
     if args.out:
         with _open_output(args.out) as handle:
             write_csv(grid, handle)
     else:
         write_csv(grid, sys.stdout)
-    if args.svg:
-        svg = render_region_map(grid, T, heatmap=args.heatmap)
+    if svg is not None:
         with _open_output(args.svg) as handle:
             handle.write(svg)
     return 0

@@ -3,7 +3,8 @@
 Everything here is reproducible by construction: sample ``i`` of a run is
 derived from its own ``random.Random(seed ^ i)`` stream, so results do not
 depend on execution order and a parallel run folds to the same report as a
-sequential one (partial aggregates are merged in sample-index order).
+sequential one.  One fold updates a fuzz cell: with each sample's reports in
+index order, and with each chunk's cells in chunk order.
 
 The fuzz, the search and the scan read each bound's values from
 :func:`~barrow.inequalities.frame_values` and build no report records; their
@@ -278,25 +279,36 @@ _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
 )
 
 
-def _new_aggregate() -> dict:
-    return {"total_reports": 0, "cells": {}, "violations": []}
+def _fold_cell(cells: dict, key: str, count: int, violation_count: int, slack: float,
+               index: int, where: Callable[[], tuple]) -> None:
+    """Fold ``count`` reports, ``violation_count`` of them violations, into cell ``key``.
 
-
-def _lower_min(cell: dict, slack: float, index: int, where: Callable[[], tuple]) -> None:
-    """Record ``slack`` of sample ``index`` if it is below the cell's minimum.
-
-    ``where()`` builds the (triangle, point) payload, only for a new minimum.
-    Strict comparison keeps the earliest index on ties, so merging partial
-    aggregates in index order matches a sequential fold.
+    ``slack`` is their least, at sample ``index``; ``where()`` builds its
+    (triangle, point) payload, only for a new minimum.  Strict comparison
+    keeps the earliest index on ties, so folding chunk cells in chunk order
+    matches folding their samples in index order.
     """
+    cell = cells.get(key)
+    if cell is None:
+        cell = cells[key] = {
+            "count": 0,
+            "min_slack": math.inf,
+            "argmin_index": -1,
+            "argmin_triangle": None,
+            "argmin_point": None,
+            "violation_count": 0,
+        }
+    # Adding to the int 0 keeps the counts ints when a bool is passed.
+    cell["count"] += count
+    cell["violation_count"] += violation_count
     if slack < cell["min_slack"]:
         cell["min_slack"] = slack
         cell["argmin_index"] = index
         cell["argmin_triangle"], cell["argmin_point"] = where()
 
 
-def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
-    """Evaluate every applicable inequality on sample ``index`` and fold the slacks into ``agg``."""
+def _fold_sample(cells: dict, violations: list, config: FuzzConfig, index: int) -> None:
+    """Evaluate every applicable inequality on sample ``index`` and fold its reports."""
     rng = random.Random(config.seed ^ index)
     stratum = _pick_stratum(rng, config.region_mix)
     band = DEFAULT_HEIGHT_BAND
@@ -317,25 +329,11 @@ def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
 
     for inequality, region, lhs, rhs, _ in values:
         slack = lhs - rhs
-        agg["total_reports"] += 1
-        key = f"{inequality.value}/{region.value}"
-        cell = agg["cells"].get(key)
-        if cell is None:
-            cell = {
-                "count": 0,
-                "min_slack": math.inf,
-                "argmin_index": -1,
-                "argmin_triangle": None,
-                "argmin_point": None,
-                "violation_count": 0,
-            }
-            agg["cells"][key] = cell
-        cell["count"] += 1
-        _lower_min(cell, slack, index, where)
-        if slack < -tol:
-            cell["violation_count"] += 1
+        violated = slack < -tol
+        _fold_cell(cells, f"{inequality.value}/{region.value}", 1, violated, slack, index, where)
+        if violated:
             triangle, point = where()
-            agg["violations"].append(
+            violations.append(
                 {
                     "index": index,
                     "inequality": inequality.value,
@@ -348,25 +346,12 @@ def _fold_sample(agg: dict, config: FuzzConfig, index: int) -> None:
             )
 
 
-def _merge_aggregates(into: dict, part: dict) -> None:
-    into["total_reports"] += part["total_reports"]
-    for key, cell in part["cells"].items():
-        mine = into["cells"].get(key)
-        if mine is None:
-            into["cells"][key] = dict(cell)
-            continue
-        mine["count"] += cell["count"]
-        mine["violation_count"] += cell["violation_count"]
-        _lower_min(mine, cell["min_slack"], cell["argmin_index"],
-                   lambda: (cell["argmin_triangle"], cell["argmin_point"]))
-    into["violations"].extend(part["violations"])
-
-
-def _chunk_aggregate(config: FuzzConfig, lo: int, hi: int) -> dict:
-    agg = _new_aggregate()
+def _chunk_aggregate(config: FuzzConfig, lo: int, hi: int) -> tuple[dict, list]:
+    """The cells and violations of samples ``lo`` to ``hi - 1``."""
+    cells, violations = {}, []
     for index in range(lo, hi):
-        _fold_sample(agg, config, index)
-    return agg
+        _fold_sample(cells, violations, config, index)
+    return cells, violations
 
 
 @dataclass(frozen=True)
@@ -374,9 +359,12 @@ class FuzzReport:
     """Aggregated fuzz outcome; a pure function of the config."""
 
     config: FuzzConfig
-    total_reports: int
     cells: dict
     violations: list
+
+    @property
+    def total_reports(self) -> int:
+        return sum(cell["count"] for cell in self.cells.values())
 
     @property
     def violation_count(self) -> int:
@@ -401,7 +389,7 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     Violations (slack below ``-tol_factor`` times the local distance scale)
     are recorded with full reproduction data, not raised.  The report is
     independent of ``workers``: each sample owns a seed-derived stream and
-    partial results merge in sample-index order.  The run is split into
+    the chunks' cells fold in chunk order.  The run is split into
     ``workers`` chunks, served by at most one process per CPU.
     """
     chunk = max(1, math.ceil(config.n / max(1, workers)))
@@ -419,15 +407,15 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
             pass
     if parts is None:
         parts = [_chunk_aggregate(config, lo, hi) for lo, hi in bounds]
-    agg = _new_aggregate()
-    for part in parts:
-        _merge_aggregates(agg, part)
-    return FuzzReport(
-        config=config,
-        total_reports=agg["total_reports"],
-        cells=agg["cells"],
-        violations=agg["violations"],
-    )
+    cells, violations = {}, []
+    for part_cells, part_violations in parts:
+        for key, cell in part_cells.items():
+            _fold_cell(
+                cells, key, cell["count"], cell["violation_count"], cell["min_slack"],
+                cell["argmin_index"], lambda: (cell["argmin_triangle"], cell["argmin_point"]),
+            )
+        violations.extend(part_violations)
+    return FuzzReport(config=config, cells=cells, violations=violations)
 
 
 def _objective_for(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
@@ -458,13 +446,14 @@ def _simplex_size(pts) -> float:
 
 
 _INDICES = (0, 1, 2)
+_MAX_ITER = 500
 
 
-def _nelder_mead(f, x0, step, tol, max_iter=500):
+def _nelder_mead(f, x0, step, tol):
     """Plain 2-D simplex descent (reflection 1, expansion 2, contraction 0.5)."""
     pts = [x0, (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
     vals = [f(*p) for p in pts]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # Ordered by (value, index): the index breaks ties and no point is compared.
         (v0, _, p0), (v1, _, p1), (v2, _, p2) = sorted(zip(vals, _INDICES, pts))
         pts = [p0, p1, p2]
@@ -559,10 +548,6 @@ class ScanRow(NamedTuple):
     slack: float
 
 
-#: Column of each rhs term's side among ``lp_a, lp_b, lp_c``.
-_SIDE_COLUMN = {"a": 0, "b": 1, "c": 2}
-
-
 @dataclass(frozen=True)
 class ScanGrid:
     """Row-major cell-center scan of a bounding box (y varies slowest)."""
@@ -598,6 +583,6 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
             _, region, lhs, rhs, parts = frame_values(_SIGNED, F, classify_frame(F))
             lp = [math.nan, math.nan, math.nan]
             for side, _, value in parts:
-                lp[_SIDE_COLUMN[side]] = value
+                lp[side] = value
             rows.append(ScanRow(x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

@@ -3,13 +3,14 @@
 Every named bound is an entry of one table, :data:`BOUNDS`, that maps its
 identifier to its domain and to its evaluator on a
 :class:`~barrow.geom.PointFrame`.  An evaluator returns a ``_Bound``: the
-bound, the region, the lhs and the (side, weight, value) parts of the rhs.
-:func:`frame_values` applies the domain and sums the rhs; the fuzz, scan and
-search read those values and build no records.  Only :func:`frame_report`
-builds an :class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative
-for all valid inputs, up to floating-point tolerance; that non-negativity is
-the property the rest of the repository tests), ``tight`` and one
-:class:`Term` per rhs part.
+bound, the region, the lhs and the (side, weight, value) parts of the rhs,
+each side its index 0, 1 or 2.  :func:`frame_values` applies the domain and
+sums the rhs; the fuzz, scan and search read those values and build no
+records.  Only :func:`frame_report` builds an :class:`InequalityReport`:
+the slack ``lhs - rhs`` (non-negative for all valid inputs, up to
+floating-point tolerance; that non-negativity is the property the rest of
+the repository tests), ``tight`` and one :class:`Term` per rhs part, which
+names its side ``a``, ``b`` or ``c``.
 
 The central public evaluator is :func:`evaluate`, which dispatches on the
 region of the query point: the weighted bisector bound in the interior, its
@@ -195,32 +196,33 @@ def lu_weights(R: DistanceTriple) -> WeightTriple:
     return WeightTriple(*[_weight(R[i], R[j]) for i, j in SIDE_ENDS])
 
 
+_SIDES = (0, 1, 2)
 _TWO = (2.0, 2.0, 2.0)
 _VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16)
 
 #: What an evaluator says its bound is at a point: the bound, the region it
-#: reports, the lhs, and the (side, weight, value) of each rhs term.
-_Bound = tuple[InequalityId, Region, float, Iterable[tuple[str, float, float]]]
+#: reports, the lhs, and the (side index, weight, value) of each rhs term.
+_Bound = tuple[InequalityId, Region, float, Iterable[tuple[int, float, float]]]
 
 #: A bound's entry in :data:`BOUNDS`: whether it is interior-only, and its evaluator.
 _Entry = tuple[bool, Callable[[PointFrame, Region], _Bound]]
 
 #: What :func:`frame_values` returns: an evaluator's bound, region and lhs,
 #: then the rhs and the (side, weight, value) parts it sums.
-_Values = tuple[InequalityId, Region, float, float, tuple[tuple[str, float, float], ...]]
+_Values = tuple[InequalityId, Region, float, float, tuple[tuple[int, float, float], ...]]
 
 
 def _barrow(F: PointFrame, region: Region) -> _Bound:
-    return InequalityId.BARROW1, region, F.R_sum, zip("abc", _TWO, frame_bisectors(F))
+    return InequalityId.BARROW1, region, F.R_sum, zip(_SIDES, _TWO, frame_bisectors(F))
 
 
 def _erdos_mordell(F: PointFrame, region: Region) -> _Bound:
-    return InequalityId.ERDOS_MORDELL2, region, F.R_sum, zip("abc", _TWO, F.signed_distances())
+    return InequalityId.ERDOS_MORDELL2, region, F.R_sum, zip(_SIDES, _TWO, F.signed_distances())
 
 
 def _dergiades(F: PointFrame, region: Region) -> _Bound:
     weights = F.T.ratio_weights
-    return InequalityId.DERGIADES3, region, F.R_sum, zip("abc", weights, F.signed_distances())
+    return InequalityId.DERGIADES3, region, F.R_sum, zip(_SIDES, weights, F.signed_distances())
 
 
 def _weighted(F: PointFrame, region: Region) -> _Bound:
@@ -232,9 +234,9 @@ def _weighted(F: PointFrame, region: Region) -> _Bound:
     R_A, R_B, R_C = F.R
     lp_a, lp_b, lp_c = frame_signed_bisectors(F)
     terms = (
-        ("a", _weight(R_B, R_C), lp_a),
-        ("b", _weight(R_C, R_A), lp_b),
-        ("c", _weight(R_A, R_B), lp_c),
+        (0, _weight(R_B, R_C), lp_a),
+        (1, _weight(R_C, R_A), lp_b),
+        (2, _weight(R_A, R_B), lp_c),
     )
     interior = region is Region.LAMBDA0
     inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30
@@ -250,7 +252,7 @@ def _vertex_report(F: PointFrame, k: int) -> _Bound:
     F.check_not_vertex(allow=k)
     i, j = SIDE_ENDS[k]
     R_i, R_j = F.R[i], F.R[j]
-    term = ("abc"[k], _weight(R_i, R_j), side_bisector(F, k))
+    term = (k, _weight(R_i, R_j), side_bisector(F, k))
     return _VERTEX_BOUNDS[k], VERTEX_REGIONS[k], R_i + R_j, (term,)
 
 
@@ -319,7 +321,7 @@ def frame_report(
     inequality, region, lhs, rhs, parts = values
     slack = lhs - rhs
     tight = abs(slack) <= tol_factor * F.R_sum
-    terms = tuple(Term(side, w, x, w * x) for side, w, x in parts)
+    terms = tuple(Term("abc"[side], w, x, w * x) for side, w, x in parts)
     return InequalityReport(inequality, region, lhs, rhs, slack, tight, terms)
 
 

@@ -6,6 +6,9 @@ timestamps or library-dependent serialization.
 
 from __future__ import annotations
 
+import math
+
+from .errors import DomainError
 from .geom import Triangle
 from .harness import ScanGrid
 from .regions import VERTEX_REGIONS
@@ -23,6 +26,9 @@ REGION_COLORS = {
     "vertexB": "#72b7b2",
     "vertexC": "#eeca3b",
 }
+
+#: Width of every map in SVG user units; the height follows the box's aspect.
+_WIDTH = 480
 
 #: Endpoints of the slack heatmap ramp (low to high).
 HEAT_LOW = (13, 8, 135)
@@ -42,23 +48,27 @@ def _ramp_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
-def render_region_map(grid: ScanGrid, T: Triangle, width: int = 480, heatmap: bool = False) -> str:
+def render_region_map(grid: ScanGrid, T: Triangle, heatmap: bool = False) -> str:
     """Render a scan as an SVG region map, optionally with a slack overlay.
 
     Each grid cell becomes a rectangle filled with its region's palette
     color.  With ``heatmap`` a second translucent layer ramps linearly over
     the observed finite slack range (NaN cells are left uncovered).  The
-    triangle outline and vertex markers are drawn on top.
+    triangle outline and vertex markers are drawn on top.  Raises
+    DomainError when the box is so tall for its width that the map's height
+    is not finite.
     """
     x0, y0, x1, y1 = grid.bbox
     span_x = x1 - x0
     span_y = y1 - y0
-    height = width * span_y / span_x
-    cell_w = width / grid.resolution
+    height = _WIDTH * span_y / span_x
+    if not math.isfinite(height):
+        raise DomainError(f"bounding box {grid.bbox} is too tall to draw: the map height overflows")
+    cell_w = _WIDTH / grid.resolution
     cell_h = height / grid.resolution
 
     def px(x: float) -> float:
-        return (x - x0) / span_x * width
+        return (x - x0) / span_x * _WIDTH
 
     def py(y: float) -> float:
         # SVG y axis points down.
@@ -66,8 +76,8 @@ def render_region_map(grid: ScanGrid, T: Triangle, width: int = 480, heatmap: bo
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'width="{_fmt(_WIDTH)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(height)}">',
         '<g id="regions">',
     ]
     # Each cell's rectangle up to its fill color, shared by both layers.
@@ -98,8 +108,8 @@ def render_region_map(grid: ScanGrid, T: Triangle, width: int = 480, heatmap: bo
         f"L {_fmt(px(T.B.x))} {_fmt(py(T.B.y))} "
         f"L {_fmt(px(T.C.x))} {_fmt(py(T.C.y))} Z"
     )
-    stroke_w = width / 320.0
-    marker_r = width / 96.0
+    stroke_w = _WIDTH / 320.0
+    marker_r = _WIDTH / 96.0
     lines.append(
         f'<path d="{outline}" fill="none" stroke="#1a1a1a" stroke-width="{_fmt(stroke_w)}"/>'
     )

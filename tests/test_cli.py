@@ -394,6 +394,23 @@ def test_scan_overflowing_bbox_exits_3():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_scan_undrawable_svg_exits_3_before_any_output(tmp_path, capsys, to_stdout):
+    # A box 1e-310 wide and 1 tall gives the map an infinite height: a domain
+    # error before the CSV is opened or printed, and no SVG file.
+    out_csv = tmp_path / "scan.csv"
+    out_svg = tmp_path / "map.svg"
+    csv_args = () if to_stdout else ("--out", str(out_csv))
+    code, out, err = run_cli(
+        capsys, "scan", "--triangle", UNIT_RIGHT, "--bbox", "0,0,1e-310,1",
+        "--resolution", "2", *csv_args, "--svg", str(out_svg),
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

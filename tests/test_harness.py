@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -169,6 +170,32 @@ def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
     assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
     assert fuzz_snapshot(report) == fuzz_snapshot(fuzz(config, workers=1))
 
+
+class _PoolWontStart:
+    def __init__(self, max_workers):
+        raise OSError("no process pool here")
+
+
+class _PoolBreaks:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("a worker died")
+
+
+@pytest.mark.parametrize("pool", [_PoolWontStart, _PoolBreaks])
+def test_fuzz_falls_back_to_the_same_report_without_a_pool(monkeypatch, pool):
+    config = FuzzConfig(n=300, seed=13)
+    sequential = fuzz_snapshot(fuzz(config, workers=1))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    assert fuzz_snapshot(fuzz(config, workers=3)) == sequential
 
 def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
     # Only a rejected region draw or a missed sideline snap builds a second

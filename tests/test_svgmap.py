@@ -53,5 +53,5 @@ def test_ramp_color_endpoints():
 
 def test_aspect_ratio_follows_bbox(unit_right):
     grid = grid_scan(unit_right, (0.0, 0.0, 2.0, 1.0), 4)
-    svg = render_region_map(grid, unit_right, width=400)
-    assert 'width="400.000000" height="200.000000"' in svg
+    svg = render_region_map(grid, unit_right)
+    assert 'width="480.000000" height="240.000000"' in svg
