@@ -550,7 +550,14 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Row-major cell-center scan of a bounding box (y varies slowest)."""
+    """Row-major cell-center scan of a bounding box (y varies slowest).
+
+    ``rows`` holds ``resolution**2`` rows, one grid line of ``resolution``
+    rows after another.  Every row of a grid line has the same ``y``, and
+    every row of a column has the same ``x``, so the CSV and SVG emitters
+    format each ``x`` from the first grid line and each ``y`` from a line's
+    first row.  They raise ValueError on a grid with another row count.
+    """
 
     bbox: tuple[float, float, float, float]
     resolution: int

@@ -39,13 +39,18 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
+#: Two hex digits for every channel value, so a ramp color is three lookups.
+_HEX = ["%02x" % v for v in range(256)]
+
+
 def _ramp_color(t: float) -> str:
-    channels = (
-        round(HEAT_LOW[0] + (HEAT_HIGH[0] - HEAT_LOW[0]) * t),
-        round(HEAT_LOW[1] + (HEAT_HIGH[1] - HEAT_LOW[1]) * t),
-        round(HEAT_LOW[2] + (HEAT_HIGH[2] - HEAT_LOW[2]) * t),
+    """The heatmap color at ``t`` in [0, 1], each channel rounded to the nearest integer."""
+    (r0, g0, b0), (r1, g1, b1) = HEAT_LOW, HEAT_HIGH
+    return (
+        "#" + _HEX[round(r0 + (r1 - r0) * t)]
+        + _HEX[round(g0 + (g1 - g0) * t)]
+        + _HEX[round(b0 + (b1 - b0) * t)]
     )
-    return "#{:02x}{:02x}{:02x}".format(*channels)
 
 
 def render_region_map(grid: ScanGrid, T: Triangle, heatmap: bool = False) -> str:
@@ -55,17 +60,25 @@ def render_region_map(grid: ScanGrid, T: Triangle, heatmap: bool = False) -> str
     color.  With ``heatmap`` a second translucent layer ramps linearly over
     the observed finite slack range (NaN cells are left uncovered).  The
     triangle outline and vertex markers are drawn on top.  Raises
-    DomainError when the box is so tall for its width that the map's height
-    is not finite.
+    DomainError when the box is so tall or so flat for its width that the
+    map's height overflows or is written as zero, and ValueError when the
+    grid does not hold ``resolution**2`` rows.
     """
+    n = grid.resolution
+    rows = grid.rows
+    if len(rows) != n * n:
+        raise ValueError(f"a {n}x{n} scan grid needs {n * n} rows, got {len(rows)}")
     x0, y0, x1, y1 = grid.bbox
     span_x = x1 - x0
     span_y = y1 - y0
     height = _WIDTH * span_y / span_x
-    if not math.isfinite(height):
-        raise DomainError(f"bounding box {grid.bbox} is too tall to draw: the map height overflows")
-    cell_w = _WIDTH / grid.resolution
-    cell_h = height / grid.resolution
+    if not math.isfinite(height) or _fmt(height) == _fmt(0.0):
+        raise DomainError(
+            f"bounding box {grid.bbox} cannot be drawn: the map height {height!r} "
+            "overflows or underflows"
+        )
+    cell_w = _WIDTH / n
+    cell_h = height / n
 
     def px(x: float) -> float:
         return (x - x0) / span_x * _WIDTH
@@ -80,23 +93,24 @@ def render_region_map(grid: ScanGrid, T: Triangle, heatmap: bool = False) -> str
         f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(height)}">',
         '<g id="regions">',
     ]
-    # Each cell's rectangle up to its fill color, shared by both layers.
-    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
+    # Each cell's rectangle up to its fill color, shared by both layers: a
+    # column's x (from the first grid line) and a line's y are formatted once.
+    heads = [f'<rect x="{_fmt(px(row.x) - cell_w / 2.0)}" y="' for row in rows[:n]]
+    size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     rects = []
-    for row in grid.rows:
-        cx = px(row.x) - cell_w / 2.0
-        cy = py(row.y) - cell_h / 2.0
-        rects.append(f'<rect x="{_fmt(cx)}" y="{_fmt(cy)}" {size} fill="')
-        lines.append(f'{rects[-1]}{REGION_COLORS[row.region]}"/>')
+    for start in range(0, n * n, n):
+        tail = _fmt(py(rows[start].y) - cell_h / 2.0) + size
+        rects.extend([head + tail for head in heads])
+    lines.extend([f'{rect}{REGION_COLORS[row.region]}"/>' for rect, row in zip(rects, rows)])
     lines.append("</g>")
 
     if heatmap:
-        finite = [row.slack for row in grid.rows if row.slack == row.slack]
+        finite = [row.slack for row in rows if row.slack == row.slack]
         lo = min(finite) if finite else 0.0
         hi = max(finite) if finite else 0.0
         span = hi - lo
         lines.append('<g id="slack" opacity="0.55">')
-        for rect, row in zip(rects, grid.rows):
+        for rect, row in zip(rects, rows):
             if row.slack != row.slack:
                 continue
             t = 0.5 if span == 0.0 else (row.slack - lo) / span

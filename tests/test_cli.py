@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import io
 import json
 import math
 import shlex
@@ -9,11 +10,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import barrow
-from barrow import FuzzConfig, Point2, Triangle, evaluate, fuzz, grid_scan
-from barrow.cli import CSV_HEADER, main, parse_point, parse_triangle
+from barrow import FuzzConfig, Point2, ScanGrid, Triangle, evaluate, fuzz, grid_scan
+from barrow.cli import CSV_HEADER, main, parse_point, parse_triangle, write_csv
 from barrow.errors import UsageError
+from barrow.svgmap import HEAT_HIGH, HEAT_LOW, REGION_COLORS, render_region_map
+
+from conftest import triangles
 
 UNIT_RIGHT = "0,0;1,0;0,1"
 
@@ -274,6 +280,33 @@ def test_fuzz_and_tighten_stdout_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == PINNED_STDOUT_SHA256[argv]
 
 
+#: SHA-256 of the CSV on stdout and of the SVG of ``scan --svg FILE`` runs:
+#: the default 64x64 grid, with and without the slack layer, and a
+#: non-square box at an odd resolution.  Made with the libm of glibc 2.36.
+PINNED_SCAN_SHA256 = {
+    ("--triangle", "0,0;4,0;1,2", "--resolution", "64", "--heatmap"): (
+        "2653affc285947d4471d9a31d7e55662dcbf5e31f8bfea9f1eaffd835fec3fc5",
+        "b5b21d1ee7a57fd6eca922818849c299dbcc47d7d912b0740ccec7c2364d65a9"),
+    ("--triangle", "0,0;4,0;1,2", "--resolution", "64"): (
+        "2653affc285947d4471d9a31d7e55662dcbf5e31f8bfea9f1eaffd835fec3fc5",
+        "a3bc7fd45da06215fd84173553f05be9093dadf9d6878af8914d86527d955a72"),
+    ("--triangle", "0,0;4,0;1,2", "--bbox=-1,-1,7,2", "--resolution", "37", "--heatmap"): (
+        "cf8a3abe8df40db923b534bea48b0946847cace9ccf82068e4c78605aa39a795",
+        "4477b2a0df3524f3b8eaf1ba6a362e4dcc15cf4272c6aca51ad610aae455a87c"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SCAN_SHA256),
+                         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[2:]))
+def test_scan_csv_and_svg_bytes_are_pinned(tmp_path, capsys, argv):
+    svg = tmp_path / "map.svg"
+    code, out, err = run_cli(capsys, "scan", *argv, "--svg", str(svg))
+    assert (code, err) == (0, "")
+    digests = (hashlib.sha256(out.encode("ascii")).hexdigest(),
+               hashlib.sha256(svg.read_bytes()).hexdigest())
+    assert digests == PINNED_SCAN_SHA256[argv]
+
+
 def test_fuzz_violation_exit_code(capsys):
     # A negative tolerance flags ordinary results, driving the failure path.
     code, out, _ = run_cli(capsys, "fuzz", "--n", "20", "--seed", "1", "--tol", "-1")
@@ -394,21 +427,89 @@ def test_scan_overflowing_bbox_exits_3():
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("to_stdout", [False, True])
-def test_scan_undrawable_svg_exits_3_before_any_output(tmp_path, capsys, to_stdout):
-    # A box 1e-310 wide and 1 tall gives the map an infinite height: a domain
-    # error before the CSV is opened or printed, and no SVG file.
+@pytest.mark.parametrize("bbox, to_stdout", [
+    pytest.param(bbox, to_stdout, id=str(to_stdout) if bbox == "0,0,1e-310,1" else f"{bbox}-{to_stdout}")
+    for bbox in ("0,0,1e-310,1", "0,0,1e150,1e-170", "0,0,1,1e-300")
+    for to_stdout in (False, True)
+])
+def test_scan_undrawable_svg_exits_3_before_any_output(tmp_path, capsys, bbox, to_stdout):
+    # A box 1e-310 wide and 1 tall gives the map an infinite height, and the
+    # two flat boxes a height written as 0.000000, which draws no cell: a
+    # domain error before the CSV is opened or printed, and no SVG file.
     out_csv = tmp_path / "scan.csv"
     out_svg = tmp_path / "map.svg"
     csv_args = () if to_stdout else ("--out", str(out_csv))
     code, out, err = run_cli(
-        capsys, "scan", "--triangle", UNIT_RIGHT, "--bbox", "0,0,1e-310,1",
+        capsys, "scan", "--triangle", UNIT_RIGHT, "--bbox", bbox,
         "--resolution", "2", *csv_args, "--svg", str(out_svg),
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+#: The per-cell CSV line the emitter once formatted, kept as its reference.
+_CSV_ROW = "%.17g,%.17g,%s" + ",%.17g" * 9 + "\n"
+
+
+def per_cell_svg_cells(grid):
+    """Both SVG cell layers, each cell formatted on its own from its row."""
+    x0, y0, x1, y1 = grid.bbox
+    height = 480 * (y1 - y0) / (x1 - x0)
+    cell_w = 480 / grid.resolution
+    cell_h = height / grid.resolution
+    rects = [
+        f'<rect x="{(row.x - x0) / (x1 - x0) * 480 - cell_w / 2.0:.6f}" '
+        f'y="{(y1 - row.y) / (y1 - y0) * height - cell_h / 2.0:.6f}" '
+        f'width="{cell_w:.6f}" height="{cell_h:.6f}" fill="'
+        for row in grid.rows
+    ]
+    regions = [f'{rect}{REGION_COLORS[row.region]}"/>' for rect, row in zip(rects, grid.rows)]
+    finite = [row.slack for row in grid.rows if not math.isnan(row.slack)]
+    lo, hi = min(finite), max(finite)
+    heat = []
+    for rect, row in zip(rects, grid.rows):
+        if not math.isnan(row.slack):
+            t = 0.5 if hi == lo else (row.slack - lo) / (hi - lo)
+            rgb = (round(a + (b - a) * t) for a, b in zip(HEAT_LOW, HEAT_HIGH))
+            heat.append(rect + "#{:02x}{:02x}{:02x}".format(*rgb) + '"/>')
+    return regions, heat
+
+
+@st.composite
+def scan_boxes(draw):
+    """Boxes of independent width and height, so most are not square."""
+    x0 = draw(st.floats(-40.0, 40.0))
+    y0 = draw(st.floats(-40.0, 40.0))
+    return (x0, y0, x0 + draw(st.floats(0.05, 80.0)), y0 + draw(st.floats(0.05, 80.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(), scan_boxes(), st.integers(2, 9))
+@example(Triangle(Point2(0.5, 0.5), Point2(2.0, 0.0), Point2(0.0, 2.0)), (-1.0, -1.0, 1.0, 1.0), 2)
+def test_emitters_match_per_cell_references(triangle, bbox, resolution):
+    # The emitters format a column's x and a line's y once; the bytes must be
+    # those of formatting every cell on its own.  The example holds a vertex
+    # cell, whose two undefined bisector columns are NaN.
+    grid = grid_scan(triangle, bbox, resolution)
+    buf = io.StringIO()
+    write_csv(grid, buf)
+    assert buf.getvalue() == CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in grid.rows)
+    regions, heat = per_cell_svg_cells(grid)
+    svg = render_region_map(grid, triangle, heatmap=True)
+    head, _, tail = svg.partition('<g id="slack" opacity="0.55">')
+    assert [line for line in head.splitlines() if line.startswith("<rect ")] == regions
+    assert [line for line in tail.splitlines() if line.startswith("<rect ")] == heat
+
+
+def test_emitters_reject_a_grid_one_row_short(scalene):
+    grid = grid_scan(scalene, (-1.0, -1.0, 5.0, 3.0), 4)
+    short = ScanGrid(bbox=grid.bbox, resolution=grid.resolution, rows=grid.rows[:-1])
+    with pytest.raises(ValueError, match="needs 16 rows, got 15"):
+        write_csv(short, io.StringIO())
+    with pytest.raises(ValueError, match="needs 16 rows, got 15"):
+        render_region_map(short, scalene)
 
 
 ROOT = Path(__file__).resolve().parents[1]
