@@ -1,10 +1,13 @@
 """Deterministic sampling, fuzzing, tightness search and grid scans.
 
 Everything here is reproducible by construction: sample ``i`` of a run is
-derived from its own ``random.Random(seed ^ i)`` stream, so results do not
-depend on execution order and a parallel run folds to the same report as a
-sequential one.  One fold updates a fuzz cell: with each sample's reports in
-index order, and with each chunk's cells in chunk order.
+derived from its own stream, the one ``random.Random(seed ^ i)`` starts, so
+results do not depend on execution order and a parallel run folds to the
+same report as a sequential one.  A fuzz chunk builds what its samples share
+once: one ``random.Random``, reseeded with ``seed ^ i`` before sample ``i``
+(the same stream), and one table of its stratum thresholds.  One fold
+updates a fuzz cell: with each sample's reports in index order, and with
+each chunk's cells in chunk order.
 
 The fuzz, the search and the scan read each bound's values from
 :func:`~barrow.inequalities.frame_values` and build no report records; their
@@ -83,8 +86,10 @@ class FuzzConfig:
         total = 0.0
         for name in STRATA:
             share = self.region_mix.get(name, 0.0)
-            if share < 0.0:
-                raise DomainError(f"negative proportion for stratum {name!r}")
+            if not (math.isfinite(share) and share >= 0.0):
+                raise DomainError(
+                    f"proportion for stratum {name!r} must be finite and non-negative, got {share}"
+                )
             total += share
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"region-mix proportions sum to {total}, expected 1")
@@ -163,38 +168,45 @@ def sample_triangle(
     raise DomainError(f"unknown triangle shape {shape!r}")
 
 
-_REGION_TARGETS = {r.value: r for r in OPEN_PATTERNS}
+#: The plan of each open region's sampler, by label: the region, then the
+#: indices of its negative and of its positive barycentric coordinates.
+_REGION_PLANS = {
+    region.value: (
+        region,
+        tuple(i for i, s in enumerate(pattern) if s < 0),
+        tuple(i for i, s in enumerate(pattern) if s > 0),
+    )
+    for region, pattern in OPEN_PATTERNS.items()
+}
 #: Barycentric magnitude floor keeping constructed points off region boundaries.
 _BARY_MARGIN = 1e-3
 
 
 def _sample_region_point(
-    rng: random.Random, T: Triangle, region: Region
+    rng: random.Random, T: Triangle, plan: tuple[Region, tuple, tuple]
 ) -> tuple[PointFrame, Region]:
-    pattern = OPEN_PATTERNS[region]
-    negs = [i for i, s in enumerate(pattern) if s < 0]
+    region, negs, pos = plan
+    (ax, ay), (bx, by), (cx, cy) = T.A, T.B, T.C
+    uniform = rng.uniform
     for _ in range(_MAX_RESAMPLE):
         vals = [0.0, 0.0, 0.0]
-        if len(negs) == 0:
-            vals[0] = rng.uniform(_BARY_MARGIN, 1.0 - 2.0 * _BARY_MARGIN)
-            vals[1] = rng.uniform(_BARY_MARGIN, 1.0 - _BARY_MARGIN - vals[0])
+        if not negs:
+            vals[0] = uniform(_BARY_MARGIN, 1.0 - 2.0 * _BARY_MARGIN)
+            vals[1] = uniform(_BARY_MARGIN, 1.0 - _BARY_MARGIN - vals[0])
             vals[2] = 1.0 - vals[0] - vals[1]
         elif len(negs) == 1:
-            vals[negs[0]] = -rng.uniform(_BARY_MARGIN, 2.0)
-            rest = 1.0 - vals[negs[0]]
-            p1, p2 = [i for i in range(3) if i not in negs]
-            vals[p1] = rng.uniform(_BARY_MARGIN, rest - _BARY_MARGIN)
+            (n,), (p1, p2) = negs, pos
+            vals[n] = -uniform(_BARY_MARGIN, 2.0)
+            rest = 1.0 - vals[n]
+            vals[p1] = uniform(_BARY_MARGIN, rest - _BARY_MARGIN)
             vals[p2] = rest - vals[p1]
         else:
-            vals[negs[0]] = -rng.uniform(_BARY_MARGIN, 2.0)
-            vals[negs[1]] = -rng.uniform(_BARY_MARGIN, 2.0)
-            pos = 3 - negs[0] - negs[1]
-            vals[pos] = 1.0 - vals[negs[0]] - vals[negs[1]]
+            (n1, n2), (p,) = negs, pos
+            vals[n1] = -uniform(_BARY_MARGIN, 2.0)
+            vals[n2] = -uniform(_BARY_MARGIN, 2.0)
+            vals[p] = 1.0 - vals[n1] - vals[n2]
         u, v, w = vals
-        F = PointFrame(T, Point2(
-            u * T.A.x + v * T.B.x + w * T.C.x,
-            u * T.A.y + v * T.B.y + w * T.C.y,
-        ))
+        F = PointFrame(T, Point2(u * ax + v * bx + w * cx, u * ay + v * by + w * cy))
         got = classify_frame(F)
         if got is region:
             break
@@ -247,9 +259,10 @@ def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
 def _sample_frame(rng: random.Random, T: Triangle, target) -> tuple[PointFrame, Region]:
     """The frame its sampler built for the point :func:`sample_point` draws, and its region."""
     if isinstance(target, Region):
-        target = target.value
-    if target in _REGION_TARGETS:
-        return _sample_region_point(rng, T, _REGION_TARGETS[target])
+        target = target._value_
+    plan = _REGION_PLANS.get(target)
+    if plan is not None:
+        return _sample_region_point(rng, T, plan)
     if target == "sideline":
         F = _sample_sideline_point(rng, T)
     elif target == "near-vertex":
@@ -259,14 +272,32 @@ def _sample_frame(rng: random.Random, T: Triangle, target) -> tuple[PointFrame, 
     return F, classify_frame(F)
 
 
-def _pick_stratum(rng: random.Random, mix: dict) -> str:
-    x = rng.random()
+def _stratum_table(mix: dict) -> list[tuple[float, str]]:
+    """The ``(threshold, name)`` of each stratum of ``mix`` with a positive share.
+
+    A threshold is the cumulative share, summed from 0.0 in ``STRATA`` order.
+    """
+    table = []
     acc = 0.0
     for name in STRATA:
-        acc += mix.get(name, 0.0)
-        if x < acc:
+        share = mix.get(name, 0.0)
+        acc += share
+        if share > 0.0:
+            table.append((acc, name))
+    return table
+
+
+def _pick_stratum(rng: random.Random, table: list[tuple[float, str]]) -> str:
+    """The first stratum whose threshold exceeds a uniform draw.
+
+    The shares may sum to just under 1; a draw above their sum goes to the
+    last stratum with a positive share, never to a stratum of share 0.
+    """
+    x = rng.random()
+    for threshold, name in table:
+        if x < threshold:
             return name
-    return STRATA[-1]
+    return table[-1][1]
 
 
 #: The ``BOUNDS`` entries the fuzz and the scan evaluate, looked up once:
@@ -277,6 +308,9 @@ _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
     BOUNDS[InequalityId.BARROW1],
     BOUNDS[InequalityId.ERDOS_MORDELL2],
 )
+#: Read once per sample; on Python 3.10 and 3.11 reading an enum member off
+#: its class runs Python code.
+_LAMBDA0 = Region.LAMBDA0
 
 
 def _fold_cell(cells: dict, key: str, count: int, violation_count: int, slack: float,
@@ -307,10 +341,14 @@ def _fold_cell(cells: dict, key: str, count: int, violation_count: int, slack: f
         cell["argmin_triangle"], cell["argmin_point"] = where()
 
 
-def _fold_sample(cells: dict, violations: list, config: FuzzConfig, index: int) -> None:
-    """Evaluate every applicable inequality on sample ``index`` and fold its reports."""
-    rng = random.Random(config.seed ^ index)
-    stratum = _pick_stratum(rng, config.region_mix)
+def _fold_sample(cells: dict, violations: list, config: FuzzConfig,
+                 strata: list[tuple[float, str]], rng: random.Random, index: int) -> None:
+    """Evaluate every applicable inequality on sample ``index`` and fold its reports.
+
+    ``rng`` is at the start of the sample's stream and ``strata`` is the
+    :func:`_stratum_table` of the config's mix.
+    """
+    stratum = _pick_stratum(rng, strata)
     band = DEFAULT_HEIGHT_BAND
     if config.triangle_shape == "near-degenerate" and stratum == "sideline":
         band = SIDELINE_HEIGHT_BAND
@@ -320,7 +358,7 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig, index: int) 
     values = [frame_values(_SIGNED, F, region), frame_values(_DERGIADES, F, region)]
     # A lambda0 signed report rules out a vertex, so the interior-only
     # bounds are defined here.
-    if values[0][1] is Region.LAMBDA0:
+    if values[0][1] is _LAMBDA0:
         values.append(frame_values(_BARROW, F, region))
         values.append(frame_values(_ERDOS_MORDELL, F, region))
 
@@ -330,14 +368,15 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig, index: int) 
     for inequality, region, lhs, rhs, _ in values:
         slack = lhs - rhs
         violated = slack < -tol
-        _fold_cell(cells, f"{inequality.value}/{region.value}", 1, violated, slack, index, where)
+        # ``_value_`` is ``value`` without the property call.
+        _fold_cell(cells, f"{inequality._value_}/{region._value_}", 1, violated, slack, index, where)
         if violated:
             triangle, point = where()
             violations.append(
                 {
                     "index": index,
-                    "inequality": inequality.value,
-                    "region": region.value,
+                    "inequality": inequality._value_,
+                    "region": region._value_,
                     "slack": slack,
                     "tol": tol,
                     "triangle": triangle,
@@ -347,10 +386,18 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig, index: int) 
 
 
 def _chunk_aggregate(config: FuzzConfig, lo: int, hi: int) -> tuple[dict, list]:
-    """The cells and violations of samples ``lo`` to ``hi - 1``."""
+    """The cells and violations of samples ``lo`` to ``hi - 1``.
+
+    The samples share one ``random.Random`` and one stratum table.  Reseeding
+    with ``seed ^ i`` puts the generator in the state ``random.Random(seed ^ i)``
+    starts in, so sample ``i`` draws the same stream in any chunk.
+    """
     cells, violations = {}, []
+    strata = _stratum_table(config.region_mix)
+    rng = random.Random()
     for index in range(lo, hi):
-        _fold_sample(cells, violations, config, index)
+        rng.seed(config.seed ^ index)
+        _fold_sample(cells, violations, config, strata, rng, index)
     return cells, violations
 
 

@@ -200,6 +200,15 @@ _SIDES = (0, 1, 2)
 _TWO = (2.0, 2.0, 2.0)
 _VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16)
 
+# The members every evaluation reads, bound once: on Python 3.10 and 3.11
+# reading an enum member off its class runs Python code.
+_LAMBDA0 = Region.LAMBDA0
+_BARROW1 = InequalityId.BARROW1
+_ERDOS_MORDELL2 = InequalityId.ERDOS_MORDELL2
+_DERGIADES3 = InequalityId.DERGIADES3
+_LU_WEIGHTED13 = InequalityId.LU_WEIGHTED13
+_SIGNED_BARROW30 = InequalityId.SIGNED_BARROW30
+
 #: What an evaluator says its bound is at a point: the bound, the region it
 #: reports, the lhs, and the (side index, weight, value) of each rhs term.
 _Bound = tuple[InequalityId, Region, float, Iterable[tuple[int, float, float]]]
@@ -213,16 +222,16 @@ _Values = tuple[InequalityId, Region, float, float, tuple[tuple[int, float, floa
 
 
 def _barrow(F: PointFrame, region: Region) -> _Bound:
-    return InequalityId.BARROW1, region, F.R_sum, zip(_SIDES, _TWO, frame_bisectors(F))
+    return _BARROW1, region, F.R_sum, zip(_SIDES, _TWO, frame_bisectors(F))
 
 
 def _erdos_mordell(F: PointFrame, region: Region) -> _Bound:
-    return InequalityId.ERDOS_MORDELL2, region, F.R_sum, zip(_SIDES, _TWO, F.signed_distances())
+    return _ERDOS_MORDELL2, region, F.R_sum, zip(_SIDES, _TWO, F.signed_distances())
 
 
 def _dergiades(F: PointFrame, region: Region) -> _Bound:
     weights = F.T.ratio_weights
-    return InequalityId.DERGIADES3, region, F.R_sum, zip(_SIDES, weights, F.signed_distances())
+    return _DERGIADES3, region, F.R_sum, zip(_SIDES, weights, F.signed_distances())
 
 
 def _weighted(F: PointFrame, region: Region) -> _Bound:
@@ -238,8 +247,7 @@ def _weighted(F: PointFrame, region: Region) -> _Bound:
         (1, _weight(R_C, R_A), lp_b),
         (2, _weight(R_A, R_B), lp_c),
     )
-    interior = region is Region.LAMBDA0
-    inequality = InequalityId.LU_WEIGHTED13 if interior else InequalityId.SIGNED_BARROW30
+    inequality = _LU_WEIGHTED13 if region is _LAMBDA0 else _SIGNED_BARROW30
     return inequality, region, F.R_sum, terms
 
 
@@ -257,7 +265,7 @@ def _vertex_report(F: PointFrame, k: int) -> _Bound:
 
 
 def _signed_barrow(F: PointFrame, region: Region) -> _Bound:
-    if region.is_vertex:
+    if region in VERTEX_REGIONS:
         return _vertex_report(F, VERTEX_REGIONS.index(region))
     if F.vertex is not None:
         # Numerically on a vertex even though the sign pattern says otherwise
@@ -294,7 +302,7 @@ def frame_values(bound: _Entry, F: PointFrame, region: Region) -> _Values | None
     """
     interior_only, evaluator = bound
     if interior_only:
-        if region is not Region.LAMBDA0:
+        if region is not _LAMBDA0:
             return None
         F.check_not_vertex()
     inequality, region, lhs, parts = evaluator(F, region)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import random
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ from barrow.errors import GeometryError
 from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
     DEFAULT_REGION_MIX,
+    SIDELINE_HEIGHT_BAND,
     STRATA,
     TRIANGLE_SHAPES,
     _nelder_mead,
@@ -128,6 +131,31 @@ def test_fuzz_config_validation():
         FuzzConfig(n=10, seed=1, region_mix={"lambda0": 1.0, "hyperbolic": 0.0})
     with pytest.raises(DomainError):
         FuzzConfig(n=10, seed=1, region_mix={"lambda0": 2.0, "mu1": -1.0})
+    # NaN passes both the sign and the sum test; every sample would then
+    # fall through the stratum draw.
+    with pytest.raises(DomainError):
+        FuzzConfig(n=200, seed=0, region_mix={"lambda0": float("nan")})
+    with pytest.raises(DomainError):
+        FuzzConfig(n=10, seed=1, region_mix={"lambda0": 1.0, "mu1": float("nan")})
+
+
+def _fixed_draw(x):
+    return SimpleNamespace(random=lambda: x)
+
+
+def test_pick_stratum_never_draws_a_zero_share_stratum():
+    # The shares sum to 0.9999999999, within FuzzConfig's tolerance of 1; a
+    # draw above that sum goes to the last stratum with a positive share.
+    mix = {"lambda0": 0.3, "mu1": 0.3, "mu2": 0.4 - 1e-10}
+    FuzzConfig(n=10, seed=1, region_mix=mix)
+    table = harness._stratum_table(mix)
+    assert harness._pick_stratum(_fixed_draw(0.99999999995), table) == "mu2"
+    assert harness._pick_stratum(_fixed_draw(0.0), table) == "lambda0"
+    assert harness._pick_stratum(_fixed_draw(0.6), table) == "mu2"
+    # The default mix sums to just under 1, and its last stratum has a share.
+    table = harness._stratum_table(DEFAULT_REGION_MIX)
+    assert [name for _, name in table] == list(STRATA)
+    assert harness._pick_stratum(_fixed_draw(0.9999999999999999), table) == "near-vertex"
 
 
 def test_fuzz_no_violations_small():
@@ -429,3 +457,61 @@ def test_jobs_build_no_reports(monkeypatch, scalene):
     with pytest.raises(errors.OutsideInterior):
         bound_report(InequalityId.BARROW1, scalene, Point2(-0.5, -0.5))
     assert calls == {"frame_report": 2, "OutsideInterior": 1}
+
+
+def _hex_bytes(values) -> bytes:
+    return "".join(float.hex(v) + "," for v in values).encode("ascii")
+
+
+def _triangle_bytes() -> bytes:
+    # Each draw, then the stream's next number: a sampler that consumes one
+    # draw more or less than before moves the sample after it.
+    draws = [(shape, {}) for shape in TRIANGLE_SHAPES] + [
+        ("near-degenerate", {"height_band": SIDELINE_HEIGHT_BAND}),
+        ("equilateral-perturbed", {"perturbation": 0.0}),
+    ]
+    values = []
+    for shape, options in draws:
+        for seed in range(200):
+            rng = random.Random(seed)
+            T = sample_triangle(rng, shape, **options)
+            values.extend((*T.A, *T.B, *T.C, rng.random()))
+    return _hex_bytes(values)
+
+
+def _point_bytes() -> bytes:
+    values = []
+    for stratum in STRATA:
+        for seed in range(200):
+            rng = random.Random(seed)
+            T = sample_triangle(rng, TRIANGLE_SHAPES[seed % 3])
+            M = sample_point(rng, T, stratum)
+            values.extend((M.x, M.y, rng.random()))
+    return _hex_bytes(values)
+
+
+def _fuzz_bytes() -> bytes:
+    configs = [
+        FuzzConfig(n=2000, seed=7, region_mix={"sideline": 0.5, "near-vertex": 0.5},
+                   triangle_shape="near-degenerate"),
+        FuzzConfig(n=300, seed=5, tol_factor=-1.0),
+    ]
+    return "\n".join(fuzz_snapshot(fuzz(config)) for config in configs).encode("ascii")
+
+
+#: SHA-256 of what the samplers draw, which the fuzz, the search and
+#: bench/spans.py read: 200 seeds of every triangle shape (plus the sideline
+#: height band and the exact equilateral), 200 seeds of each of the nine
+#: point strata, and the JSON of a non-default-mix fuzz and of a violating
+#: one.  Like the CLI pins they were made with the libm of glibc 2.36.
+PINNED_SAMPLER_SHA256 = {
+    "triangles": "ff1f03e5f5c701a1c9c747c30bbf39609e0fb7caa174e7270f7b5b8649b95c9d",
+    "points": "befa9a09d784444c499e07071660d9a3a879cd851f4d545ac9cb88796cf6cdd1",
+    "fuzz": "c775506ca8199c3bc06772c767e84cfa18a6915ab54f456bf8b16aca1b4effd6",
+}
+_SAMPLER_BYTES = {"triangles": _triangle_bytes, "points": _point_bytes, "fuzz": _fuzz_bytes}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SAMPLER_SHA256))
+def test_sampler_streams_are_pinned(name):
+    assert hashlib.sha256(_SAMPLER_BYTES[name]()).hexdigest() == PINNED_SAMPLER_SHA256[name]
