@@ -11,14 +11,16 @@ digits (lossless for 64-bit floats), and SVG output uses fixed formatting.
 from __future__ import annotations
 
 import argparse
-import inspect
+import contextlib
 import json
 import math
+import os
 import sys
 
 from .errors import GeometryError, UsageError
 from .geom import Point2, PointFrame, Triangle
 from .harness import (
+    DEFAULT_STARTS,
     TRIANGLE_SHAPES,
     FuzzConfig,
     ScanGrid,
@@ -27,7 +29,7 @@ from .harness import (
     grid_scan,
     tightness_search,
 )
-from .inequalities import DEFAULT_TOL_FACTOR, InequalityId, bound_report
+from .inequalities import DEFAULT_TOL_FACTOR, InequalityId, frame_report
 from .regions import DEFAULT_EPS, classify_frame
 from .svgmap import render_region_map
 
@@ -150,8 +152,7 @@ def build_parser() -> _Parser:
     triangle_arg(p)
     p.add_argument("--inequality", choices=sorted(_INEQUALITY_CHOICES), default="signed-barrow",
                    help="which bound to minimize (default: signed-barrow)")
-    starts = inspect.signature(tightness_search).parameters["starts"].default
-    p.add_argument("--starts", type=int, default=starts, help="multi-start count")
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS, help="multi-start count")
     p.add_argument("--seed", type=int, default=0, help="seed for the start points")
 
     return parser
@@ -172,9 +173,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_eval(args) -> int:
     T = _triangle_from_args(args)
-    M = Point2(*parse_point(args.point))
+    F = PointFrame(T, Point2(*parse_point(args.point)))
     which = _INEQUALITY_CHOICES[args.inequality]
-    report = bound_report(which, T, M, eps=args.eps, tol_factor=args.tol)
+    report = frame_report(which, F, classify_frame(F, eps=args.eps), args.tol)
     _print_json(report.to_json_dict())
     return 0
 
@@ -183,6 +184,7 @@ def _cmd_fuzz(args) -> int:
     config = FuzzConfig(n=args.n, seed=args.seed, tol_factor=args.tol,
                         triangle_shape=args.shape)
     report = fuzz(config, workers=args.workers)
+    args.code = 0 if report.violation_count == 0 else 1
     if args.json:
         _print_json(report.to_json_dict())
     else:
@@ -192,7 +194,7 @@ def _cmd_fuzz(args) -> int:
         )
         for violation in report.violations:
             _print_json(violation)
-    return 0 if report.violation_count == 0 else 1
+    return args.code
 
 
 def write_csv(grid: ScanGrid, stream) -> None:
@@ -241,16 +243,14 @@ def _cmd_scan(args) -> int:
     else:
         bbox = _default_bbox(T)
     grid = grid_scan(T, bbox, args.resolution)
-    # Rendered first, so a box the map cannot draw fails before any output.
+    # A box the map cannot draw or a path that cannot be written fails before
+    # any output; the map goes out first, so a closed stdout cannot cut it.
     svg = render_region_map(grid, T, heatmap=args.heatmap) if args.svg else None
-    if args.out:
-        with _open_output(args.out) as handle:
-            write_csv(grid, handle)
-    else:
-        write_csv(grid, sys.stdout)
-    if svg is not None:
-        with _open_output(args.svg) as handle:
-            handle.write(svg)
+    with _open_output(args.svg) if args.svg else contextlib.nullcontext() as svg_out:
+        with _open_output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+            if svg is not None:
+                svg_out.write(svg)
+            write_csv(grid, out)
     return 0
 
 
@@ -273,8 +273,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = argparse.Namespace(code=0)  # a command's code, settled before it prints
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, namespace=args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -282,6 +283,10 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout; devnull takes the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.code
 
 
 if __name__ == "__main__":

@@ -62,6 +62,9 @@ SIDELINE_HEIGHT_BAND = (1e-3, 1e-2)
 
 _MAX_RESAMPLE = 64
 
+#: Multi-start count of :func:`tightness_search` and of ``barrow tighten``.
+DEFAULT_STARTS = 14
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -545,7 +548,7 @@ def _nelder_mead(f, x0, step, tol):
 
 
 def tightness_search(
-    T: Triangle, inequality: InequalityId, starts: int = 14, seed: int = 0
+    T: Triangle, inequality: InequalityId, starts: int = DEFAULT_STARTS, seed: int = 0
 ) -> tuple[Point2, float]:
     """Multi-start derivative-free minimization of an inequality's slack.
 
@@ -563,11 +566,10 @@ def tightness_search(
     objective = _objective_for(T, inequality)
     rng = random.Random(seed)
     cycle = (Region.LAMBDA0,) if inequality in INTERIOR_IDS else tuple(OPEN_PATTERNS)
-    targets = [cycle[i % len(cycle)] for i in range(starts)]
     best_pt = None
     best_val = math.inf
-    for target in targets:
-        start = sample_point(rng, T, target)
+    for k in range(starts):
+        start = sample_point(rng, T, cycle[k % len(cycle)])
         pt, val = _nelder_mead(
             objective, (start.x, start.y), step=0.05 * T.diameter, tol=1e-10 * T.diameter
         )

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
 from .errors import DomainError, OutsideInterior, VertexCoincidence
 from .geom import DistanceTriple, Point2, PointFrame, Triangle
-from .regions import DEFAULT_EPS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
+from .regions import SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
 
 #: |slack| below this fraction of (R_A+R_B+R_C) is reported as an equality case.
 DEFAULT_TOL_FACTOR = 1e-9
@@ -333,18 +333,13 @@ def frame_report(
     return InequalityReport(inequality, region, lhs, rhs, slack, tight, terms)
 
 
-def bound_report(
-    inequality: InequalityId, T: Triangle, M: Point2, eps: float = DEFAULT_EPS,
-    tol_factor: float = DEFAULT_TOL_FACTOR,
-) -> InequalityReport:
-    """Report of one bound of :data:`BOUNDS` at M, classified with ``eps``."""
+def bound_report(inequality: InequalityId, T: Triangle, M: Point2) -> InequalityReport:
+    """Report of one bound of :data:`BOUNDS` at M, at the default eps and tol_factor."""
     F = PointFrame(T, M)
-    return frame_report(inequality, F, classify_frame(F, eps), tol_factor)
+    return frame_report(inequality, F, classify_frame(F))
 
 
-def dergiades_report(
-    T: Triangle, M: Point2, eps: float = DEFAULT_EPS, tol_factor: float = DEFAULT_TOL_FACTOR
-) -> InequalityReport:
+def dergiades_report(T: Triangle, M: Point2) -> InequalityReport:
     """Side-ratio weighted bound on the vertex distances, valid in the whole plane.
 
     The right-hand side pairs each signed sideline distance with the weight
@@ -352,12 +347,10 @@ def dergiades_report(
     cyclically).  Signed distances make the bound hold for every point, not
     just interior ones.
     """
-    return bound_report(InequalityId.DERGIADES3, T, M, eps, tol_factor)
+    return bound_report(InequalityId.DERGIADES3, T, M)
 
 
-def classic_reports(
-    T: Triangle, M: Point2, eps: float = DEFAULT_EPS, tol_factor: float = DEFAULT_TOL_FACTOR
-) -> tuple[InequalityReport, InequalityReport]:
+def classic_reports(T: Triangle, M: Point2) -> tuple[InequalityReport, InequalityReport]:
     """The two classical interior bounds: bisector-based and distance-based.
 
     Both bound R_A + R_B + R_C by twice a sum: of the angle-bisector lengths
@@ -366,16 +359,14 @@ def classic_reports(
     positive terms.
     """
     F = PointFrame(T, M)
-    region = classify_frame(F, eps)
+    region = classify_frame(F)
     return (
-        frame_report(InequalityId.BARROW1, F, region, tol_factor),
-        frame_report(InequalityId.ERDOS_MORDELL2, F, region, tol_factor),
+        frame_report(InequalityId.BARROW1, F, region),
+        frame_report(InequalityId.ERDOS_MORDELL2, F, region),
     )
 
 
-def evaluate(
-    T: Triangle, M: Point2, eps: float = DEFAULT_EPS, tol_factor: float = DEFAULT_TOL_FACTOR
-) -> InequalityReport:
+def evaluate(T: Triangle, M: Point2) -> InequalityReport:
     """Region-dispatched evaluation of the weighted bisector bound.
 
     Interior points get the weighted bound with all bisectors positive;
@@ -384,5 +375,6 @@ def evaluate(
     pattern); points on a vertex get the reduced two-distance bound.  The
     interior and non-interior branches share one arithmetic path, so the
     interior report is bit-identical to what the signed formula yields.
+    The eps and tol_factor are those of :func:`bound_report`.
     """
-    return bound_report(InequalityId.SIGNED_BARROW30, T, M, eps, tol_factor)
+    return bound_report(InequalityId.SIGNED_BARROW30, T, M)

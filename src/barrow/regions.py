@@ -108,6 +108,6 @@ def classify_frame(F: PointFrame, eps: float = DEFAULT_EPS) -> Region:
     return classify_pattern(sign_pattern(F, eps))
 
 
-def classify(T: Triangle, M: Point2, eps: float = DEFAULT_EPS) -> Region:
-    """Region of the sideline partition containing M."""
-    return classify_frame(PointFrame(T, M), eps)
+def classify(T: Triangle, M: Point2) -> Region:
+    """Region containing M at :data:`DEFAULT_EPS`; :func:`classify_frame` takes another eps."""
+    return classify_frame(PointFrame(T, M))

@@ -449,6 +449,39 @@ def test_scan_undrawable_svg_exits_3_before_any_output(tmp_path, capsys, bbox, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_scan_unwritable_svg_exits_2_before_any_csv_byte(tmp_path, capsys, to_stdout):
+    out_csv = tmp_path / "grid.csv"
+    csv_args = () if to_stdout else ("--out", str(out_csv))
+    code, out, err = run_cli(
+        capsys, "scan", "--triangle", UNIT_RIGHT, "--resolution", "2", "--bbox", "0,0,1,1",
+        *csv_args, "--svg", str(tmp_path / "missing" / "map.svg"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(("scan", "--triangle", "0,0;4,0;1,2", "--resolution", "200"), 0, id="scan"),
+    # Every report violates a negative tolerance: about 290 kB of violations.
+    pytest.param(("fuzz", "--n", "500", "--seed", "42", "--tol=-1"), 1, id="fuzz"),
+])
+def test_closed_stdout_ends_quietly_with_the_commands_code(argv, code):
+    # The reader takes one byte and closes the pipe; the output is larger
+    # than a pipe buffer, so the command writes to the closed pipe.
+    proc = subprocess.Popen([sys.executable, "-m", "barrow", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert len(first) == 1
+    assert err == b""
+    assert proc.returncode == code
+
+
 #: The per-cell CSV line the emitter once formatted, kept as its reference.
 _CSV_ROW = "%.17g,%.17g,%s" + ",%.17g" * 9 + "\n"
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
@@ -326,6 +327,25 @@ def test_tightness_search_deterministic(scalene):
     first = tightness_search(scalene, InequalityId.DERGIADES3, starts=5, seed=21)
     second = tightness_search(scalene, InequalityId.DERGIADES3, starts=5, seed=21)
     assert first == second
+
+
+def test_tightness_search_builds_no_list_of_its_starts(scalene, monkeypatch):
+    # Stopped at its first start: a list of a million targets would hold 8 MB.
+    class FirstStart(Exception):
+        pass
+
+    def first_start(*_):
+        raise FirstStart
+
+    monkeypatch.setattr(harness, "sample_point", first_start)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstStart):
+            tightness_search(scalene, InequalityId.SIGNED_BARROW30, starts=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tightness_search_rejects_vertex_ids(unit_right):

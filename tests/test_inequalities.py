@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,9 +11,11 @@ from barrow import (
     BisectorTriple,
     DistanceTriple,
     DomainError,
+    GeometryError,
     InequalityId,
     InequalityReport,
     OutsideInterior,
+    PointFrame,
     Point2,
     Region,
     SignedBisectorTriple,
@@ -30,8 +33,9 @@ from barrow import (
 )
 from barrow.bisectors import bisector_length, bisector_lengths
 from barrow.geom import barycentric, dist, signed_distances, vertex_distances
-from barrow.harness import sample_point
-from barrow.regions import OPEN_PATTERNS
+from barrow.harness import STRATA, TRIANGLE_SHAPES, sample_point, sample_triangle
+from barrow.inequalities import BOUNDS, DEFAULT_TOL_FACTOR, frame_report
+from barrow.regions import OPEN_PATTERNS, VERTEX_REGIONS, classify_frame, classify_pattern
 
 from conftest import points_in, triangles
 
@@ -292,10 +296,15 @@ def test_evaluate_equilateral_circumcenter_tight():
 )
 def test_tight_flips_at_slack_over_distance_sum(unit_right, point, eps, region):
     M = Point2(*point)
-    ratio = abs(evaluate(unit_right, M, eps).slack) / sum(vertex_distances(unit_right, M))
-    assert evaluate(unit_right, M, eps).region is region
-    assert evaluate(unit_right, M, eps, tol_factor=ratio * (1.0 + 1e-9)).tight
-    assert not evaluate(unit_right, M, eps, tol_factor=ratio * (1.0 - 1e-9)).tight
+    F = PointFrame(unit_right, M)
+
+    def report(tol_factor=DEFAULT_TOL_FACTOR):
+        return frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F, eps), tol_factor)
+
+    ratio = abs(report().slack) / sum(vertex_distances(unit_right, M))
+    assert report().region is region
+    assert report(ratio * (1.0 + 1e-9)).tight
+    assert not report(ratio * (1.0 - 1e-9)).tight
 
 
 def test_evaluate_at_vertex(unit_right):
@@ -431,3 +440,47 @@ def test_evaluate_sign_pattern_matches_region(t):
             continue  # constructed point fell on a boundary; covered elsewhere
         got = tuple(1 if term.value > 0.0 else -1 for term in rep.terms)
         assert got == pattern
+
+
+#: The relabellings (A, B, C) -> (B, C, A), (C, A, B), (A, C, B): the old
+#: index of each new vertex.
+_RELABELLINGS = ((1, 2, 0), (2, 0, 1), (0, 2, 1))
+
+
+def _relabelled(region, perm):
+    """The label of ``region`` after the vertices are relabelled by ``perm``."""
+    if region in VERTEX_REGIONS:
+        return VERTEX_REGIONS[perm.index(VERTEX_REGIONS.index(region))]
+    pattern = OPEN_PATTERNS[region]
+    return classify_pattern(tuple(pattern[k] for k in perm))
+
+
+def _report_or_error(inequality, T, M):
+    F = PointFrame(T, M)
+    try:
+        return frame_report(inequality, F, classify_frame(F))
+    except GeometryError as exc:
+        return type(exc)
+
+
+def test_relabelling_the_vertices_permutes_the_region_and_keeps_the_slack():
+    # 1800 samples: 200 per stratum, each shape in turn; a near-vertex
+    # sample also checks the vertex itself.
+    for i in range(1800):
+        rng = random.Random(i)
+        T = sample_triangle(rng, TRIANGLE_SHAPES[i % 3])
+        stratum = STRATA[i // 3 % len(STRATA)]
+        vertices = (T.A, T.B, T.C)
+        M = sample_point(rng, T, stratum)
+        points = (M, vertices[i % 3]) if stratum == "near-vertex" else (M,)
+        for point, inequality in itertools.product(points, BOUNDS):
+            rep = _report_or_error(inequality, T, point)
+            for perm in _RELABELLINGS:
+                relabelled = Triangle(*(vertices[k] for k in perm))
+                got = _report_or_error(inequality, relabelled, point)
+                if isinstance(rep, type):
+                    assert got is rep, (i, inequality, perm)
+                    continue
+                assert got.region is _relabelled(rep.region, perm), (i, inequality, perm)
+                scale = rep.lhs + sum(abs(term.contribution) for term in rep.terms)
+                assert abs(got.slack - rep.slack) <= 1e-15 * scale, (i, inequality, perm)

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from barrow import Point2, Region, Triangle, classify
+from barrow import Point2, PointFrame, Region, Triangle, classify
 from barrow.geom import barycentric
-from barrow.regions import OPEN_PATTERNS, classify_pattern, sign_pattern
+from barrow.regions import OPEN_PATTERNS, classify_frame, classify_pattern, sign_pattern
 
 from conftest import points_in, triangles
 from oracles import oracle_region
@@ -106,13 +106,13 @@ def test_classify_sideline_beyond_vertices(unit_right):
 def test_eps_snaps_near_boundary(unit_right):
     m = Point2(1e-13, 0.5)
     assert classify(unit_right, m) is Region.MU2
-    assert classify(unit_right, m, eps=0.0) is Region.LAMBDA0
+    assert classify_frame(PointFrame(unit_right, m), 0.0) is Region.LAMBDA0
 
 
 def test_eps_snaps_near_vertex(unit_right):
     m = Point2(1.0 - 5e-13, 1e-13)
     assert classify(unit_right, m) is Region.VERTEX_B
-    assert classify(unit_right, m, eps=0.0) is Region.LAMBDA0
+    assert classify_frame(PointFrame(unit_right, m), 0.0) is Region.LAMBDA0
 
 
 def test_sign_pattern_uses_absolute_eps(unit_right):
