@@ -15,7 +15,9 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 
 from .errors import GeometryError, UsageError
 from .geom import Point2, PointFrame, Triangle
@@ -228,11 +230,48 @@ def _default_bbox(T: Triangle) -> tuple[float, float, float, float]:
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
-def _open_output(path: str):
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text stream whose bytes become the file ``path`` only if the block succeeds.
+
+    The stream writes a temporary file beside the file ``path`` resolves to;
+    leaving the block renames it over that file, and an error removes it, so
+    the file is either untouched or entirely new.  The new file keeps the
+    mode of the one it replaces, or gets the mode ``open`` would give it.  A
+    path to something other than a regular file, such as ``/dev/null``, is
+    written in place.  Every ``OSError`` becomes a UsageError.
+    """
+    real = os.path.realpath(path)
     try:
-        return open(path, "w", encoding="ascii", newline="")
+        try:
+            mode = os.stat(real).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(real, "w", encoding="ascii", newline="") as stream:
+                yield stream
+            return
+        fd, tmp = tempfile.mkstemp(prefix=".barrow-", suffix=".tmp", dir=os.path.dirname(real))
+        try:
+            with open(fd, "w", encoding="ascii", newline="") as stream:
+                yield stream
+            os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, real)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_scan(args) -> int:
@@ -242,15 +281,21 @@ def _cmd_scan(args) -> int:
         bbox = (x0, y0, x1, y1)
     else:
         bbox = _default_bbox(T)
+    if args.out and args.svg and _same_file(args.out, args.svg):
+        raise UsageError(f"--out and --svg name one file: {args.out!r}, {args.svg!r}")
     grid = grid_scan(T, bbox, args.resolution)
-    # A box the map cannot draw or a path that cannot be written fails before
-    # any output; the map goes out first, so a closed stdout cannot cut it.
+    # A box the map cannot draw fails before any output, and the files are
+    # all or nothing: both are renamed into place after both are written.
+    # The files go out before stdout, so a closed stdout cannot cut them.
     svg = render_region_map(grid, T, heatmap=args.heatmap) if args.svg else None
-    with _open_output(args.svg) if args.svg else contextlib.nullcontext() as svg_out:
-        with _open_output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+    with _replacing(args.svg) if args.svg else contextlib.nullcontext() as svg_out:
+        with _replacing(args.out) if args.out else contextlib.nullcontext() as out:
             if svg is not None:
                 svg_out.write(svg)
-            write_csv(grid, out)
+            if out is not None:
+                write_csv(grid, out)
+    if out is None:
+        write_csv(grid, sys.stdout)
     return 0
 
 

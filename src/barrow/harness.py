@@ -1,13 +1,16 @@
 """Deterministic sampling, fuzzing, tightness search and grid scans.
 
-Everything here is reproducible by construction: sample ``i`` of a run is
-derived from its own stream, the one ``random.Random(seed ^ i)`` starts, so
-results do not depend on execution order and a parallel run folds to the
-same report as a sequential one.  A fuzz chunk builds what its samples share
-once: one ``random.Random``, reseeded with ``seed ^ i`` before sample ``i``
-(the same stream), and one table of its stratum thresholds.  One fold
-updates a fuzz cell: with each sample's reports in index order, and with
-each chunk's cells in chunk order.
+Everything here is reproducible by construction.  The fuzz cuts its samples
+into fixed blocks of 64: block ``b`` of a run with seed ``s`` draws from one
+``random.Random(f"{s}/{b}")``, sample after sample, so each block owns its
+stream.  A string seed goes through SHA-512, so the streams do not depend on
+``PYTHONHASHSEED``, and distinct seeds give distinct streams.  Worker chunks
+start at block boundaries, so results do not depend on execution order and
+a parallel run folds to the same report as a sequential one.  To replay
+sample ``i``, draw block ``i // 64`` from its first sample up to ``i``.  A
+fuzz chunk builds one table of its stratum thresholds.  One fold updates a
+fuzz cell: with each sample's reports in index order, and with each chunk's
+cells in chunk order.
 
 The fuzz, the search and the scan read each bound's values from
 :func:`~barrow.inequalities.frame_values` and build no report records; their
@@ -61,6 +64,8 @@ DEFAULT_HEIGHT_BAND = (1e-9, 1e-3)
 SIDELINE_HEIGHT_BAND = (1e-3, 1e-2)
 
 _MAX_RESAMPLE = 64
+#: Samples per fuzz stream: one seeding per block, not per sample.
+_BLOCK = 64
 
 #: Multi-start count of :func:`tightness_search` and of ``barrow tighten``.
 DEFAULT_STARTS = 14
@@ -77,6 +82,11 @@ class FuzzConfig:
     triangle_shape: str = "random"
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass; 1.0 would name another stream than 1.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise DomainError(f"sample count must be >= 1, got {self.n}")
         if self.triangle_shape not in TRIANGLE_SHAPES:
@@ -391,16 +401,18 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig,
 def _chunk_aggregate(config: FuzzConfig, lo: int, hi: int) -> tuple[dict, list]:
     """The cells and violations of samples ``lo`` to ``hi - 1``.
 
-    The samples share one ``random.Random`` and one stratum table.  Reseeding
-    with ``seed ^ i`` puts the generator in the state ``random.Random(seed ^ i)``
-    starts in, so sample ``i`` draws the same stream in any chunk.
+    ``lo`` is a multiple of the block size.  Each block's samples draw one
+    after another from one ``random.Random(f"{seed}/{block}")``, seeded at the
+    block's first sample, so a sample draws the same numbers in any chunk
+    that starts at a block boundary.  The chunk's samples share one stratum
+    table.
     """
     cells, violations = {}, []
     strata = _stratum_table(config.region_mix)
-    rng = random.Random()
-    for index in range(lo, hi):
-        rng.seed(config.seed ^ index)
-        _fold_sample(cells, violations, config, strata, rng, index)
+    for start in range(lo, hi, _BLOCK):
+        rng = random.Random(f"{config.seed}/{start // _BLOCK}")
+        for index in range(start, min(start + _BLOCK, hi)):
+            _fold_sample(cells, violations, config, strata, rng, index)
     return cells, violations
 
 
@@ -438,11 +450,14 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
 
     Violations (slack below ``-tol_factor`` times the local distance scale)
     are recorded with full reproduction data, not raised.  The report is
-    independent of ``workers``: each sample owns a seed-derived stream and
-    the chunks' cells fold in chunk order.  The run is split into
-    ``workers`` chunks, served by at most one process per CPU.
+    independent of ``workers``: each block of 64 samples owns the stream
+    seeded by the string ``f"{seed}/{block}"``, every chunk holds whole
+    blocks, and the chunks' cells fold in chunk order.  Sample ``i`` is
+    replayed by drawing block ``i // 64`` from its first sample.  The run is
+    split into at most ``workers`` chunks, served by at most one process per
+    CPU.
     """
-    chunk = max(1, math.ceil(config.n / max(1, workers)))
+    chunk = _BLOCK * math.ceil(math.ceil(config.n / _BLOCK) / max(1, workers))
     bounds = [(lo, min(lo + chunk, config.n)) for lo in range(0, config.n, chunk)]
     parts = None
     if len(bounds) > 1:

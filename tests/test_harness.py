@@ -138,6 +138,13 @@ def test_fuzz_config_validation():
         FuzzConfig(n=200, seed=0, region_mix={"lambda0": float("nan")})
     with pytest.raises(DomainError):
         FuzzConfig(n=10, seed=1, region_mix={"lambda0": 1.0, "mu1": float("nan")})
+    # The seed names the streams and n counts samples: only an int will do.
+    # 1.0 compares equal to 1 but would name other streams; a bool is an int
+    # subclass that no caller means as a seed.
+    for n, seed in ((10, 1.5), (10.5, 1), (10, 1.0), (10.0, 1), (10, True), (True, 1),
+                    (10, "1"), (None, 1)):
+        with pytest.raises(DomainError):
+            FuzzConfig(n=n, seed=seed)
 
 
 def _fixed_draw(x):
@@ -173,6 +180,45 @@ def test_fuzz_deterministic_and_worker_independent():
     assert fuzz_snapshot(fuzz(config, workers=1)) == sequential
     assert fuzz_snapshot(fuzz(config, workers=3)) == sequential
     assert fuzz_snapshot(fuzz(config, workers=8)) == sequential
+
+
+def _cells_without_indices(report):
+    return {key: {k: v for k, v in cell.items() if k != "argmin_index"}
+            for key, cell in report.cells.items()}
+
+
+def test_distinct_seeds_draw_distinct_samples():
+    # Seeds that differ only in low bits once drew the same samples in
+    # another order: every cell but its argmin index matched.
+    cells = [_cells_without_indices(fuzz(FuzzConfig(n=1024, seed=s))) for s in (0, 1, 5)]
+    assert cells[0] != cells[1] and cells[0] != cells[2] and cells[1] != cells[2]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1000])
+def test_fuzz_json_is_worker_independent_at_block_edges(n):
+    # Chunks start at stream-block boundaries: below, at and past one block.
+    config = FuzzConfig(n=n, seed=21)
+    sequential = fuzz_snapshot(fuzz(config, workers=1))
+    assert fuzz_snapshot(fuzz(config, workers=2)) == sequential
+    assert fuzz_snapshot(fuzz(config, workers=3)) == sequential
+
+
+def test_fuzz_seeds_one_stream_per_block(monkeypatch):
+    # Seeding the Mersenne Twister costs about a quarter of a sample, so the
+    # fuzz seeds once per block of 64 samples, not once per sample.
+    seeds = []
+
+    class CountingRandom(random.Random):
+        def seed(self, *args, **kwargs):
+            seeds.append(args[0] if args else None)
+            super().seed(*args, **kwargs)
+
+    monkeypatch.setattr(harness.random, "Random", CountingRandom)
+    for n, expected in ((1, 1), (64, 1), (65, 2), (100, 2), (1000, 16)):
+        seeds.clear()
+        fuzz(FuzzConfig(n=n, seed=9))
+        assert len(seeds) == expected == math.ceil(n / 64)
+    assert seeds == [f"9/{block}" for block in range(16)]
 
 
 def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
@@ -527,7 +573,7 @@ def _fuzz_bytes() -> bytes:
 PINNED_SAMPLER_SHA256 = {
     "triangles": "ff1f03e5f5c701a1c9c747c30bbf39609e0fb7caa174e7270f7b5b8649b95c9d",
     "points": "befa9a09d784444c499e07071660d9a3a879cd851f4d545ac9cb88796cf6cdd1",
-    "fuzz": "c775506ca8199c3bc06772c767e84cfa18a6915ab54f456bf8b16aca1b4effd6",
+    "fuzz": "45ebbe3a5dbed983d3aa290f27d8c4885a4ff6a671794d568ddf4ed5b8dccbab",
 }
 _SAMPLER_BYTES = {"triangles": _triangle_bytes, "points": _point_bytes, "fuzz": _fuzz_bytes}
 
