@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -237,9 +238,10 @@ def _replacing(path: str):
     The stream writes a temporary file beside the file ``path`` resolves to;
     leaving the block renames it over that file, and an error removes it, so
     the file is either untouched or entirely new.  The new file keeps the
-    mode of the one it replaces, or gets the mode ``open`` would give it.  A
-    path to something other than a regular file, such as ``/dev/null``, is
-    written in place.  Every ``OSError`` becomes a UsageError.
+    mode of the one it replaces, or gets the mode ``open`` would give it; a
+    file ``open`` could not write is refused, not replaced.  A path to
+    something other than a regular file, such as ``/dev/null``, is written
+    in place.  Every ``OSError`` becomes a UsageError.
     """
     real = os.path.realpath(path)
     try:
@@ -249,6 +251,9 @@ def _replacing(path: str):
             umask = os.umask(0)
             os.umask(umask)
             mode = stat.S_IFREG | (0o666 & ~umask)
+        else:
+            if not os.access(real, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         if not stat.S_ISREG(mode):
             with open(real, "w", encoding="ascii", newline="") as stream:
                 yield stream

@@ -519,6 +519,20 @@ def test_scan_failed_write_leaves_every_destination_as_it_was(tmp_path, capsys, 
     assert csv.read_bytes() == b"old csv\n"
 
 
+def test_scan_refuses_a_file_it_may_not_write(tmp_path, capsys, monkeypatch):
+    # Renaming over a read-only file would succeed where opening it fails;
+    # the scan must refuse it as opening did.  os.access is faked because
+    # root may write any file.
+    csv = tmp_path / "grid.csv"
+    csv.write_bytes(b"read-only\n")
+    monkeypatch.setattr(barrow.cli.os, "access", lambda path, mode: False)
+    code, out, err = run_cli(capsys, *SCAN_8, "--out", str(csv))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: cannot write {str(csv)!r}: Permission denied\n"
+    assert csv.read_bytes() == b"read-only\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["grid.csv"]
+
+
 def test_scan_replaced_file_keeps_its_mode(tmp_path, capsys):
     csv = tmp_path / "grid.csv"
     csv.write_bytes(b"")
