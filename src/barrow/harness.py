@@ -12,9 +12,11 @@ fuzz chunk builds one table of its stratum thresholds.  One fold updates a
 fuzz cell: with each sample's reports in index order, and with each chunk's
 cells in chunk order.
 
-The fuzz, the search and the scan read each bound's values from
-:func:`~barrow.inequalities.frame_values` and build no report records; their
-numbers are the reports' numbers, bit for bit.
+The fuzz and the scan read each bound's values from
+:func:`~barrow.inequalities.frame_values`, and the search reads the slack
+kernel :func:`~barrow.inequalities.slack_function`, which falls back to a
+frame only on a sideline, on a vertex or at overflowing distances.  None
+builds a report record; their numbers are the reports' numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .inequalities import (
     VERTEX_IDS,
     InequalityId,
     frame_values,
+    slack_function,
 )
 from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify_frame
 
@@ -89,6 +92,9 @@ class FuzzConfig:
                 raise DomainError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise DomainError(f"sample count must be >= 1, got {self.n}")
+        # NaN would flag no violation, and neither it nor inf is JSON.
+        if not math.isfinite(self.tol_factor):
+            raise DomainError(f"tol_factor must be finite, got {self.tol_factor}")
         if self.triangle_shape not in TRIANGLE_SHAPES:
             raise DomainError(
                 f"unknown triangle shape {self.triangle_shape!r}, expected one of {TRIANGLE_SHAPES}"
@@ -483,26 +489,6 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     return FuzzReport(config=config, cells=cells, violations=violations)
 
 
-def _objective_for(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
-    """The slack ``bound_report(inequality, T, Point2(x, y))`` gives, or inf where that raises."""
-    bound = BOUNDS[inequality]
-
-    def f(x: float, y: float) -> float:
-        try:
-            F = PointFrame(T, Point2(x, y))
-            values = frame_values(bound, F, classify_frame(F))
-        except (GeometryError, ValueError):
-            # Off the bound's domain, or a coordinate the simplex sent to inf.
-            return math.inf
-        if values is None:
-            # Outside the interior, for an interior-only bound.
-            return math.inf
-        _, _, lhs, rhs, _ = values
-        return lhs - rhs
-
-    return f
-
-
 def _simplex_size(pts) -> float:
     (x0, y0), (x1, y1), (x2, y2) = pts
     return max(
@@ -576,9 +562,12 @@ def tightness_search(
         raise DomainError(
             f"{inequality.value} is defined only at a single vertex; there is no domain to search"
         )
+    # A float or a bool start count is refused as FuzzConfig refuses one for n.
+    if not isinstance(starts, int) or isinstance(starts, bool):
+        raise DomainError(f"starts must be an int, got {starts!r}")
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
-    objective = _objective_for(T, inequality)
+    objective = slack_function(T, inequality)
     rng = random.Random(seed)
     cycle = (Region.LAMBDA0,) if inequality in INTERIOR_IDS else tuple(OPEN_PATTERNS)
     best_pt = None

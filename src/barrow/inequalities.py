@@ -5,12 +5,13 @@ identifier to its domain and to its evaluator on a
 :class:`~barrow.geom.PointFrame`.  An evaluator returns a ``_Bound``: the
 bound, the region, the lhs and the (side, weight, value) parts of the rhs,
 each side its index 0, 1 or 2.  :func:`frame_values` applies the domain and
-sums the rhs; the fuzz, scan and search read those values and build no
-records.  Only :func:`frame_report` builds an :class:`InequalityReport`:
-the slack ``lhs - rhs`` (non-negative for all valid inputs, up to
-floating-point tolerance; that non-negativity is the property the rest of
-the repository tests), ``tight`` and one :class:`Term` per rhs part, which
-names its side ``a``, ``b`` or ``c``.
+sums the rhs; the fuzz and the scan read those values and build no records.
+The search reads the slack of :func:`slack_function`, which builds no frame
+off the sidelines and the vertices.  Only :func:`frame_report` builds an
+:class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
+valid inputs, up to floating-point tolerance; that non-negativity is the
+property the rest of the repository tests), ``tight`` and one :class:`Term`
+per rhs part, which names its side ``a``, ``b`` or ``c``.
 
 The central public evaluator is :func:`evaluate`, which dispatches on the
 region of the query point: the weighted bisector bound in the interior, its
@@ -24,10 +25,11 @@ import enum
 import math
 from typing import Callable, Iterable, NamedTuple
 
-from .bisectors import frame_bisectors, frame_signed_bisectors, side_bisector
-from .errors import DomainError, OutsideInterior, VertexCoincidence
-from .geom import DistanceTriple, Point2, PointFrame, Triangle
-from .regions import SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
+from .bisectors import _bisector, frame_bisectors, frame_signed_bisectors, side_bisector
+from .errors import DomainError, GeometryError, OutsideInterior, VertexCoincidence
+from .geom import COINCIDENCE_FACTOR, DistanceTriple, Point2, PointFrame, Triangle, _keep_sign
+from .regions import DEFAULT_EPS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
+from .regions import _REGION_BY_PATTERN
 
 #: |slack| below this fraction of (R_A+R_B+R_C) is reported as an equality case.
 DEFAULT_TOL_FACTOR = 1e-9
@@ -311,6 +313,83 @@ def frame_values(bound: _Entry, F: PointFrame, region: Region) -> _Values | None
     for _, w, x in parts:
         rhs += w * x
     return inequality, region, lhs, rhs, parts
+
+
+def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
+    """The slack ``bound_report(inequality, T, Point2(x, y))`` reports, as a function of (x, y).
+
+    It is inf wherever that call raises GeometryError or ValueError, and off
+    the bound's domain.  The search's kernel: a point off the sidelines and
+    the vertices, with squared distances that do not overflow, is evaluated
+    without a frame, with the float operations of :class:`PointFrame` and of
+    the bound's evaluator in their order, so the slack keeps its bits.  Any
+    other point goes through the frame, where each rare branch is written once.
+    """
+    bound = BOUNDS[inequality]
+    interior_only = bound[0]
+    (Ax, Ay), (Bx, By), (Cx, Cy) = T.A, T.B, T.C
+    area, s, near = T.area, T.orient_sign, COINCIDENCE_FACTOR * T.diameter
+    # The two distance bounds sum signed distances, the others bisectors.
+    distances = inequality is _ERDOS_MORDELL2 or inequality is _DERGIADES3
+    w_a, w_b, w_c = _TWO if inequality is _ERDOS_MORDELL2 else T.ratio_weights
+    a, b, c, s2, eps, inf = T.a, T.b, T.c, s * 2.0, DEFAULT_EPS, math.inf
+
+    def frame_slack(x: float, y: float) -> float:
+        try:
+            F = PointFrame(T, Point2(x, y))
+            values = frame_values(bound, F, classify_frame(F))
+        except (GeometryError, ValueError):
+            return inf
+        return inf if values is None else values[2] - values[3]
+
+    def slack(x: float, y: float) -> float:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return inf
+        ax, ay = Ax - x, Ay - y
+        bx, by = Bx - x, By - y
+        cx, cy = Cx - x, Cy - y
+        k_a, k_b, k_c = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
+        # PointFrame's ``_keep_sign`` only moves a zero ratio to +-5e-324,
+        # which snaps to 0 at eps as zero does.
+        u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
+        if interior_only:
+            if not (u > eps and v > eps and w > eps):
+                return inf
+        elif (
+            1 if u > eps else -1 if u < -eps else 0,
+            1 if v > eps else -1 if v < -eps else 0,
+            1 if w > eps else -1 if w < -eps else 0,
+        ) not in _REGION_BY_PATTERN:
+            return frame_slack(x, y)
+        R_A, R_B, R_C = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
+        far = R_B if R_B > R_A else R_A
+        far = R_C if R_C > far else far
+        nearest = R_B if R_B < R_A else R_A
+        nearest = R_C if R_C < nearest else nearest
+        if 2.0 * far * far == inf or nearest <= near:
+            return frame_slack(x, y)
+        R_sum = R_A + R_B + R_C
+        if distances:
+            d_a, d_b, d_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
+            if not (d_a and d_b and d_c):
+                d_a, d_b, d_c = map(_keep_sign, (d_a, d_b, d_c), (k_a, k_b, k_c), (s, s, s))
+            return R_sum - (0.0 + w_a * d_a + w_b * d_b + w_c * d_c)
+        try:
+            l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
+            l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
+            l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
+        except GeometryError:
+            return inf
+        if inequality is _BARROW1:
+            return R_sum - (0.0 + 2.0 * l_a + 2.0 * l_b + 2.0 * l_c)
+        return R_sum - (
+            0.0
+            + _weight(R_B, R_C) * (-l_a if u < 0.0 else l_a)
+            + _weight(R_C, R_A) * (-l_b if v < 0.0 else l_b)
+            + _weight(R_A, R_B) * (-l_c if w < 0.0 else l_c)
+        )
+
+    return slack
 
 
 def frame_report(

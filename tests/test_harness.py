@@ -145,6 +145,11 @@ def test_fuzz_config_validation():
                     (10, "1"), (None, 1)):
         with pytest.raises(DomainError):
             FuzzConfig(n=n, seed=seed)
+    # A NaN tolerance flags no violation, and neither it nor inf is JSON; a
+    # finite negative one stays allowed.
+    for tol_factor in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            FuzzConfig(n=100, seed=1, tol_factor=tol_factor)
 
 
 def _fixed_draw(x):
@@ -399,6 +404,22 @@ def test_tightness_search_rejects_vertex_ids(unit_right):
         tightness_search(unit_right, InequalityId.VERTEX_A14)
     with pytest.raises(DomainError):
         tightness_search(unit_right, InequalityId.BARROW1, starts=0)
+    # As for FuzzConfig's n: 2.5 would reach range() and True would run one start.
+    for starts in (2.5, 2.0, True, "3", None):
+        with pytest.raises(DomainError):
+            tightness_search(unit_right, InequalityId.BARROW1, starts=starts)
+
+
+def test_search_builds_one_frame_per_start(scalene, monkeypatch):
+    # Each start's sampler builds one frame; the slack kernel evaluates every
+    # simplex point of this triangle without one.
+    frames = []
+    init = PointFrame.__init__
+    monkeypatch.setattr(PointFrame, "__init__", lambda F, T, M: frames.append(M) or init(F, T, M))
+    for inequality in inequalities.BOUNDS:
+        frames.clear()
+        tightness_search(scalene, inequality, starts=14)
+        assert len(frames) == 14, inequality
 
 
 def test_grid_scan_shape_and_order(unit_right):
@@ -462,17 +483,35 @@ OBJECTIVE_POINTS = [
 ]
 
 
+def _sampled_objective_cases():
+    """Seeded triangles of every shape, each with its points to compare.
+
+    Those are three points of every stratum, the vertices and a point 1e-14
+    of the diameter off vertex A.
+    """
+    rng = random.Random(17)
+    cases = []
+    for shape in TRIANGLE_SHAPES:
+        for _ in range(10):
+            T = sample_triangle(rng, shape)
+            points = [sample_point(rng, T, stratum) for stratum in STRATA for _ in range(3)]
+            points += [*T.vertices, Point2(T.A.x + 1e-14 * T.diameter, T.A.y)]
+            cases.append((T, points))
+    return cases
+
+
 @pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
 def test_search_objective_is_the_report_slack(scalene, inequality):
     # The search reads the slack without building a report; it must be the
     # report's slack bit for bit, and inf wherever the report raises.
-    objective = harness._objective_for(scalene, inequality)
-    for x, y in OBJECTIVE_POINTS:
-        try:
-            expected = bound_report(inequality, scalene, Point2(x, y)).slack
-        except (GeometryError, ValueError):
-            expected = math.inf
-        assert same_bits(objective(x, y), expected), (inequality, x, y)
+    for T, points in [(scalene, OBJECTIVE_POINTS), *_sampled_objective_cases()]:
+        objective = inequalities.slack_function(T, inequality)
+        for x, y in points:
+            try:
+                expected = bound_report(inequality, T, Point2(x, y)).slack
+            except (GeometryError, ValueError):
+                expected = math.inf
+            assert same_bits(objective(x, y), expected), (inequality, T, x, y)
 
 
 @pytest.mark.parametrize("triangle, bbox, resolution", [
