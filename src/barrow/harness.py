@@ -12,11 +12,13 @@ fuzz chunk builds one table of its stratum thresholds.  One fold updates a
 fuzz cell: with each sample's reports in index order, and with each chunk's
 cells in chunk order.
 
-The fuzz and the scan read each bound's values from
-:func:`~barrow.inequalities.frame_values`, and the search reads the slack
-kernel :func:`~barrow.inequalities.slack_function`, which falls back to a
-frame only on a sideline, on a vertex or at overflowing distances.  None
-builds a report record; their numbers are the reports' numbers, bit for bit.
+The fuzz reads each bound's values from
+:func:`~barrow.inequalities.frame_values`.  The search reads the slack
+kernel :func:`~barrow.inequalities.slack_function`, and the scan evaluates
+the signed bound of each cell from its three cross products; both fall back
+to a frame only on a sideline, on a vertex or at overflowing distances.
+None builds a report record; their numbers are the reports' numbers, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, GeometryError
-from .geom import Point2, PointFrame, Triangle, side_coordinate
+from .bisectors import _bisector
+from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, side_coordinate
 from .inequalities import (
     BOUNDS,
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
     VERTEX_IDS,
     InequalityId,
+    _weight,
     frame_values,
     slack_function,
 )
@@ -92,6 +96,10 @@ class FuzzConfig:
                 raise DomainError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise DomainError(f"sample count must be >= 1, got {self.n}")
+        # A bool would be written to the JSON as true; a string or None
+        # would reach math.isfinite.
+        if not isinstance(self.tol_factor, (int, float)) or isinstance(self.tol_factor, bool):
+            raise DomainError(f"tol_factor must be an int or a float, got {self.tol_factor!r}")
         # NaN would flag no violation, and neither it nor inf is JSON.
         if not math.isfinite(self.tol_factor):
             raise DomainError(f"tol_factor must be finite, got {self.tol_factor}")
@@ -330,6 +338,8 @@ _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
 #: Read once per sample; on Python 3.10 and 3.11 reading an enum member off
 #: its class runs Python code.
 _LAMBDA0 = Region.LAMBDA0
+#: The label of each open region, by its snapped sign pattern, for the scan.
+_LABEL_BY_PATTERN = {pattern: region.value for region, pattern in OPEN_PATTERNS.items()}
 
 
 def _fold_cell(cells: dict, key: str, count: int, violation_count: int, slack: float,
@@ -621,10 +631,19 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     """Classify and evaluate the weighted bound at every cell center.
 
     Each row holds the values ``frame_report(SIGNED_BARROW30, ...)`` reports
-    at its cell center.  Vertex-coincident cells report the reduced vertex
-    bound, with the two undefined bisector columns as NaN.  Raises
-    DomainError when the box is empty or its cells are too wide for floats.
+    at its cell center, bit for bit.  Vertex-coincident cells report the
+    reduced vertex bound, with the two undefined bisector columns as NaN.
+    A cell off the sidelines and the vertices, whose squared distances do
+    not overflow, is evaluated from its three cross products without a
+    frame, with the float operations of :class:`PointFrame` and of the
+    weighted bound in their order; only snapped, vertex and overflowing
+    cells build a frame, so each rare branch is written once.  Raises
+    DomainError when ``resolution`` is not an int of at least 2, when the
+    box is empty, or when its cells are too wide for floats.
     """
+    # A float or a bool resolution is refused as FuzzConfig refuses one for n.
+    if not isinstance(resolution, int) or isinstance(resolution, bool):
+        raise DomainError(f"resolution must be an int, got {resolution!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     x0, y0, x1, y1 = bbox
@@ -634,15 +653,55 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     dy = (y1 - y0) / resolution
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise DomainError(f"bounding box {bbox} is too wide: its cell size overflows")
+    (Ax, Ay), (Bx, By), (Cx, Cy) = T.A, T.B, T.C
+    area, near, eps, inf = T.area, COINCIDENCE_FACTOR * T.diameter, DEFAULT_EPS, math.inf
+    hypot = math.hypot
+    xs = [x0 + (ix + 0.5) * dx for ix in range(resolution)]
     rows = []
+    append = rows.append
     for iy in range(resolution):
         y = y0 + (iy + 0.5) * dy
-        for ix in range(resolution):
-            x = x0 + (ix + 0.5) * dx
+        ay, by, cy = Ay - y, By - y, Cy - y
+        for x in xs:
+            ax, bx, cx = Ax - x, Bx - x, Cx - x
+            k_a, k_b, k_c = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
+            # A frame's ``_keep_sign`` only moves a zero ratio to +-5e-324,
+            # which snaps to 0 at eps as zero does.
+            u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
+            label = _LABEL_BY_PATTERN.get((
+                1 if u > eps else -1 if u < -eps else 0,
+                1 if v > eps else -1 if v < -eps else 0,
+                1 if w > eps else -1 if w < -eps else 0,
+            ))
+            if label is not None:
+                R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
+                far = R_B if R_B > R_A else R_A
+                far = R_C if R_C > far else far
+                nearest = R_B if R_B < R_A else R_A
+                nearest = R_C if R_C < nearest else nearest
+                if 2.0 * far * far != inf and nearest > near:
+                    l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
+                    l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
+                    l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
+                    lp_a = -l_a if u < 0.0 else l_a
+                    lp_b = -l_b if v < 0.0 else l_b
+                    lp_c = -l_c if w < 0.0 else l_c
+                    lhs = R_A + R_B + R_C
+                    # Summed from 0.0 in side order, as frame_values sums.
+                    rhs = (
+                        0.0
+                        + _weight(R_B, R_C) * lp_a
+                        + _weight(R_C, R_A) * lp_b
+                        + _weight(R_A, R_B) * lp_c
+                    )
+                    append(ScanRow(
+                        x, y, label, R_A, R_B, R_C, lp_a, lp_b, lp_c, lhs, rhs, lhs - rhs
+                    ))
+                    continue
             F = PointFrame(T, Point2(x, y))
             _, region, lhs, rhs, parts = frame_values(_SIGNED, F, classify_frame(F))
             lp = [math.nan, math.nan, math.nan]
             for side, _, value in parts:
                 lp[side] = value
-            rows.append(ScanRow(x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs))
+            append(ScanRow(x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

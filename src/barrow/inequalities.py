@@ -5,10 +5,12 @@ identifier to its domain and to its evaluator on a
 :class:`~barrow.geom.PointFrame`.  An evaluator returns a ``_Bound``: the
 bound, the region, the lhs and the (side, weight, value) parts of the rhs,
 each side its index 0, 1 or 2.  :func:`frame_values` applies the domain and
-sums the rhs; the fuzz and the scan read those values and build no records.
-The search reads the slack of :func:`slack_function`, which builds no frame
-off the sidelines and the vertices.  Only :func:`frame_report` builds an
-:class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
+sums the rhs; the fuzz reads those values and builds no records.  The
+search reads the slack of :func:`slack_function`, and the scan
+(:func:`~barrow.harness.grid_scan`) the signed bound's values from its own
+cell kernel; neither builds a frame off the sidelines and the vertices, and
+both keep the bits :func:`frame_values` gives.  Only :func:`frame_report`
+builds an :class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
 valid inputs, up to floating-point tolerance; that non-negativity is the
 property the rest of the repository tests), ``tight`` and one :class:`Term`
 per rhs part, which names its side ``a``, ``b`` or ``c``.

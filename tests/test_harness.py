@@ -23,7 +23,7 @@ from barrow import (
     sample_triangle,
     tightness_search,
 )
-from barrow import bisectors, errors, harness, inequalities, regions
+from barrow import bisectors, cli, errors, harness, inequalities, regions
 from barrow.errors import GeometryError
 from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
@@ -150,6 +150,12 @@ def test_fuzz_config_validation():
     for tol_factor in (float("nan"), math.inf, -math.inf):
         with pytest.raises(DomainError):
             FuzzConfig(n=100, seed=1, tol_factor=tol_factor)
+    # Only an int or a float is a tolerance: True would be written to the
+    # JSON as true, and a string or None would reach math.isfinite.
+    for tol_factor in (True, False, "1e-9", None, [1e-9]):
+        with pytest.raises(DomainError, match="tol_factor must be an int or a float"):
+            FuzzConfig(n=10, seed=1, tol_factor=tol_factor)
+    assert FuzzConfig(n=10, seed=1, tol_factor=0).tol_factor == 0
 
 
 def _fixed_draw(x):
@@ -277,13 +283,19 @@ def test_fuzz_falls_back_to_the_same_report_without_a_pool(monkeypatch, pool):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
     assert fuzz_snapshot(fuzz(config, workers=3)) == sequential
 
+def _counting_frames(monkeypatch) -> list:
+    """The points of the frames built from here on, one per ``PointFrame.__init__``."""
+    frames = []
+    init = PointFrame.__init__
+    monkeypatch.setattr(PointFrame, "__init__", lambda F, T, M: frames.append(M) or init(F, T, M))
+    return frames
+
+
 def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
     # Only a rejected region draw or a missed sideline snap builds a second
     # frame: at most 1.008 frames per sample here, against 2 when each
     # sample's point was measured again for its reports.
-    frames = []
-    init = PointFrame.__init__
-    monkeypatch.setattr(PointFrame, "__init__", lambda F, T, M: frames.append(M) or init(F, T, M))
+    frames = _counting_frames(monkeypatch)
     for shape in TRIANGLE_SHAPES:
         frames.clear()
         fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
@@ -413,9 +425,7 @@ def test_tightness_search_rejects_vertex_ids(unit_right):
 def test_search_builds_one_frame_per_start(scalene, monkeypatch):
     # Each start's sampler builds one frame; the slack kernel evaluates every
     # simplex point of this triangle without one.
-    frames = []
-    init = PointFrame.__init__
-    monkeypatch.setattr(PointFrame, "__init__", lambda F, T, M: frames.append(M) or init(F, T, M))
+    frames = _counting_frames(monkeypatch)
     for inequality in inequalities.BOUNDS:
         frames.clear()
         tightness_search(scalene, inequality, starts=14)
@@ -438,6 +448,11 @@ def test_grid_scan_validation(unit_right):
         grid_scan(unit_right, (0.0, 0.0, 1.0, 1.0), 1)
     with pytest.raises(DomainError):
         grid_scan(unit_right, (1.0, 0.0, 0.0, 1.0), 4)
+    # As for tightness_search's starts: 4.0 and 2.5 would reach range(), "4"
+    # the comparison with 2, and True would pass for a resolution of 1.
+    for resolution in (4.0, 2.5, "4", True, None):
+        with pytest.raises(DomainError, match=f"resolution must be an int, got {resolution!r}"):
+            grid_scan(unit_right, (0.0, 0.0, 1.0, 1.0), resolution)
 
 
 def test_grid_scan_vertex_cell_has_nan_columns():
@@ -514,21 +529,109 @@ def test_search_objective_is_the_report_slack(scalene, inequality):
             assert same_bits(objective(x, y), expected), (inequality, T, x, y)
 
 
-@pytest.mark.parametrize("triangle, bbox, resolution", [
-    (Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 2.0)), (-1.0, -1.0, 5.0, 3.0), 16),
-    (Triangle(Point2(0.5, 0.5), Point2(2.0, 0.0), Point2(0.0, 2.0)), (-1.0, -1.0, 1.0, 1.0), 2),
-])
-def test_grid_scan_rows_are_the_report_values(triangle, bbox, resolution):
+def _scan_cases():
+    """Grids for the bit-for-bit scan test; together they reach every branch of the scan.
+
+    The scalene golden grid; an exact vertex cell; six cells exactly on the
+    hypotenuse of the unit right triangle; a cell 5e-13 of the diameter off
+    vertex A of a flat triangle, whose sign pattern is open; 24-squared
+    grids of three seeded triangles of every shape over the CLI's default
+    box; and two boxes whose squared distances overflow.
+    """
+    A = Point2(0.5 + 4e-13, 0.5 - 3e-13)
+    flat = Triangle(A, Point2(A.x + 1.0, A.y), Point2(A.x + 0.5, A.y + 1e-4))
+    cases = [
+        (Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 2.0)), (-1.0, -1.0, 5.0, 3.0), 16),
+        (Triangle(Point2(0.5, 0.5), Point2(2.0, 0.0), Point2(0.0, 2.0)), (-1.0, -1.0, 1.0, 1.0), 2),
+        (Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)), (-1.0, -1.0, 2.0, 2.0), 6),
+        (flat, (-1.0, -1.0, 1.0, 1.0), 2),
+    ]
+    rng = random.Random(23)
+    for shape in TRIANGLE_SHAPES:
+        for _ in range(3):
+            T = sample_triangle(rng, shape)
+            cases.append((T, cli._default_bbox(T), 24))
+    # At 1e200 the crosses overflow too and snap to zero.  Near 1e154 from a
+    # triangle 1e140 wide only the squares do: the cells have open patterns.
+    cases.append((cases[0][0], (-1e200, -1e200, 1e200, 1e200), 4))
+    wide = Triangle(Point2(0.0, 0.0), Point2(4e140, 0.0), Point2(1e140, 2e140))
+    cases.append((wide, (1e154, 2e153, 1.1e154, 3e153), 2))
+    return cases
+
+
+def _report_rows(triangle, bbox, resolution):
+    """The ``frame_report(SIGNED_BARROW30)`` row of every cell center, in scan order.
+
+    Each row comes with the frame of its cell center.
+    """
+    x0, y0, x1, y1 = bbox
+    dx, dy = (x1 - x0) / resolution, (y1 - y0) / resolution
+    for iy in range(resolution):
+        y = y0 + (iy + 0.5) * dy
+        for ix in range(resolution):
+            x = x0 + (ix + 0.5) * dx
+            F = PointFrame(triangle, Point2(x, y))
+            rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
+            lp = [math.nan, math.nan, math.nan]
+            for term in rep.terms:
+                lp["abc".index(term.side)] = term.value
+            yield (x, y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack), F
+
+
+def _framed(F) -> bool:
+    """Whether the scan builds a frame for this cell: it snaps onto a sideline or is a vertex."""
+    return 0 in regions.sign_pattern(F) or F.vertex is not None
+
+
+@pytest.mark.parametrize("triangle, bbox, resolution", _scan_cases())
+def test_grid_scan_rows_are_the_report_values(triangle, bbox, resolution, monkeypatch):
+    # Row for row the values of frame_report, bit for bit, and the error
+    # the first failing cell's frame raises; only the snapped and the
+    # vertex cells build a frame.
+    try:
+        expected = list(_report_rows(triangle, bbox, resolution))
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            grid_scan(triangle, bbox, resolution)
+        assert str(info.value) == str(exc)
+        return
+    frames = _counting_frames(monkeypatch)
     grid = grid_scan(triangle, bbox, resolution)
-    assert len(grid.rows) == resolution * resolution
-    for row in grid.rows:
-        F = PointFrame(triangle, Point2(row.x, row.y))
-        rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
-        lp = [math.nan, math.nan, math.nan]
-        for term in rep.terms:
-            lp["abc".index(term.side)] = term.value
-        expected = (row.x, row.y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack)
-        assert all(same_bits(got, want) for got, want in zip(row, expected, strict=True)), row
+    assert len(grid.rows) == len(expected) == resolution * resolution
+    for row, (want, _) in zip(grid.rows, expected):
+        assert all(same_bits(got, w) for got, w in zip(row, want, strict=True)), row
+    assert len(frames) == sum(_framed(F) for _, F in expected)
+
+
+def test_scan_cases_reach_every_fallback_branch():
+    # The grids above hold cells on a sideline (six on each of the first and
+    # the third grid), on a vertex by their sign pattern, on a vertex under
+    # an open sign pattern, and too far away.
+    seen = {"sideline": 0, "vertex": 0, "open-vertex": 0, "overflow": 0}
+    for triangle, bbox, resolution in _scan_cases():
+        try:
+            frames = [F for _, F in _report_rows(triangle, bbox, resolution)]
+        except DomainError as exc:
+            assert "overflow" in str(exc)
+            seen["overflow"] += 1
+            continue
+        for F in frames:
+            zeros = regions.sign_pattern(F).count(0)
+            if F.vertex is not None:
+                seen["vertex" if zeros >= 2 else "open-vertex"] += 1
+            elif zeros:
+                seen["sideline"] += 1
+    assert seen == {"sideline": 12, "vertex": 1, "open-vertex": 1, "overflow": 2}
+
+
+def test_readme_scan_builds_a_frame_per_snapped_or_vertex_cell(scalene, monkeypatch):
+    # The README's scan: every cell off the sidelines and the vertices is
+    # evaluated from its crosses, without a frame.
+    bbox = cli._default_bbox(scalene)
+    framed = sum(_framed(F) for _, F in _report_rows(scalene, bbox, 64))
+    frames = _counting_frames(monkeypatch)
+    grid_scan(scalene, bbox, 64)
+    assert len(frames) == framed == 22
 
 
 def test_jobs_build_no_reports(monkeypatch, scalene):
