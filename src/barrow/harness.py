@@ -499,63 +499,74 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     return FuzzReport(config=config, cells=cells, violations=violations)
 
 
-def _simplex_size(pts) -> float:
-    (x0, y0), (x1, y1), (x2, y2) = pts
-    return max(
-        math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2), math.hypot(x1 - x2, y1 - y2)
-    )
-
-
-_INDICES = (0, 1, 2)
 _MAX_ITER = 500
 
 
 def _nelder_mead(f, x0, step, tol):
-    """Plain 2-D simplex descent (reflection 1, expansion 2, contraction 0.5)."""
-    pts = [x0, (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
-    vals = [f(*p) for p in pts]
-    for _ in range(_MAX_ITER):
-        # Ordered by (value, index): the index breaks ties and no point is compared.
-        (v0, _, p0), (v1, _, p1), (v2, _, p2) = sorted(zip(vals, _INDICES, pts))
-        pts = [p0, p1, p2]
-        vals = [v0, v1, v2]
-        if _simplex_size(pts) < tol:
+    """Plain 2-D simplex descent (reflection 1, expansion 2, contraction 0.5).
+
+    The simplex is three vertices ``a``, ``b``, ``c`` and their values, held
+    in locals.  Each pass orders them by value with an insertion network:
+    compare ``(a, b)``, then ``(b, c)``, then ``(a, b)`` again only if ``c``
+    moved.  A pair is swapped only when the later value is strictly less, so
+    ties keep their order and a NaN value never moves.  The search stops
+    when the longest side of the ordered simplex is below ``tol``, tested
+    side by side as ``max`` would: a NaN ``a``-``b`` side never stops it, a
+    NaN later side is passed over, and usually only the first side is
+    measured.  After ``_MAX_ITER`` passes the vertices are ordered once
+    more.  Returns the first vertex and its value.
+    """
+    hypot = math.hypot
+    ax, ay = x0
+    bx, by = ax + step, ay
+    cx, cy = ax, ay + step
+    fa, fb, fc = f(ax, ay), f(bx, by), f(cx, cy)
+    # The last pass only orders the vertices.
+    for left in range(_MAX_ITER, -1, -1):
+        if fb < fa:
+            ax, ay, fa, bx, by, fb = bx, by, fb, ax, ay, fa
+        if fc < fb:
+            bx, by, fb, cx, cy, fc = cx, cy, fc, bx, by, fb
+            if fb < fa:
+                ax, ay, fa, bx, by, fb = bx, by, fb, ax, ay, fa
+        if not left or (
+            hypot(ax - bx, ay - by) < tol
+            and not hypot(ax - cx, ay - cy) >= tol
+            and not hypot(bx - cx, by - cy) >= tol
+        ):
             break
-        cx = (pts[0][0] + pts[1][0]) / 2.0
-        cy = (pts[0][1] + pts[1][1]) / 2.0
-        xr = (cx + (cx - pts[2][0]), cy + (cy - pts[2][1]))
-        fr = f(*xr)
-        if fr < vals[0]:
-            xe = (cx + 2.0 * (cx - pts[2][0]), cy + 2.0 * (cy - pts[2][1]))
-            fe = f(*xe)
+        mx = (ax + bx) / 2.0
+        my = (ay + by) / 2.0
+        rx, ry = mx + (mx - cx), my + (my - cy)
+        fr = f(rx, ry)
+        if fr < fa:
+            ex, ey = mx + 2.0 * (mx - cx), my + 2.0 * (my - cy)
+            fe = f(ex, ey)
             if fe < fr:
-                pts[2], vals[2] = xe, fe
+                cx, cy, fc = ex, ey, fe
             else:
-                pts[2], vals[2] = xr, fr
+                cx, cy, fc = rx, ry, fr
             continue
-        if fr < vals[1]:
-            pts[2], vals[2] = xr, fr
+        if fr < fb:
+            cx, cy, fc = rx, ry, fr
             continue
-        if fr < vals[2]:
-            xc = (cx + 0.5 * (xr[0] - cx), cy + 0.5 * (xr[1] - cy))
-            fc = f(*xc)
-            if fc <= fr:
-                pts[2], vals[2] = xc, fc
+        if fr < fc:
+            kx, ky = mx + 0.5 * (rx - mx), my + 0.5 * (ry - my)
+            fk = f(kx, ky)
+            if fk <= fr:
+                cx, cy, fc = kx, ky, fk
                 continue
         else:
-            xc = (cx - 0.5 * (cx - pts[2][0]), cy - 0.5 * (cy - pts[2][1]))
-            fc = f(*xc)
-            if fc < vals[2]:
-                pts[2], vals[2] = xc, fc
+            kx, ky = mx - 0.5 * (mx - cx), my - 0.5 * (my - cy)
+            fk = f(kx, ky)
+            if fk < fc:
+                cx, cy, fc = kx, ky, fk
                 continue
-        for i in (1, 2):
-            pts[i] = (
-                pts[0][0] + 0.5 * (pts[i][0] - pts[0][0]),
-                pts[0][1] + 0.5 * (pts[i][1] - pts[0][1]),
-            )
-            vals[i] = f(*pts[i])
-    best_val, _, best_pt = sorted(zip(vals, _INDICES, pts))[0]
-    return best_pt, best_val
+        bx, by = ax + 0.5 * (bx - ax), ay + 0.5 * (by - ay)
+        fb = f(bx, by)
+        cx, cy = ax + 0.5 * (cx - ax), ay + 0.5 * (cy - ay)
+        fc = f(cx, cy)
+    return (ax, ay), fa
 
 
 def tightness_search(
@@ -567,7 +578,12 @@ def tightness_search(
     inequalities, cycling over all seven regions otherwise) and refined by
     simplex descent with a step tolerance of 1e-10 of the diameter.  Returns
     the best point found and its slack; deterministic in (T, starts, seed).
+    Raises DomainError when ``inequality`` is not an :class:`InequalityId`
+    or is a vertex bound, or when ``starts`` or ``seed`` is not an int.
     """
+    # A bound's value, such as "Barrow1", would end in a KeyError from BOUNDS.
+    if not isinstance(inequality, InequalityId):
+        raise DomainError(f"inequality must be an InequalityId, got {inequality!r}")
     if inequality in VERTEX_IDS:
         raise DomainError(
             f"{inequality.value} is defined only at a single vertex; there is no domain to search"
@@ -577,6 +593,9 @@ def tightness_search(
         raise DomainError(f"starts must be an int, got {starts!r}")
     if starts < 1:
         raise DomainError(f"starts must be >= 1, got {starts}")
+    # None would seed from os.urandom, so equal calls would differ.
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an int, got {seed!r}")
     objective = slack_function(T, inequality)
     rng = random.Random(seed)
     cycle = (Region.LAMBDA0,) if inequality in INTERIOR_IDS else tuple(OPEN_PATTERNS)
@@ -658,6 +677,8 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     hypot = math.hypot
     xs = [x0 + (ix + 0.5) * dx for ix in range(resolution)]
     rows = []
+    # ``tuple.__new__`` builds the same row as ``ScanRow(...)`` without the
+    # generated ``__new__``, a Python function.
     append = rows.append
     for iy in range(resolution):
         y = y0 + (iy + 0.5) * dy
@@ -694,14 +715,16 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
                         + _weight(R_C, R_A) * lp_b
                         + _weight(R_A, R_B) * lp_c
                     )
-                    append(ScanRow(
+                    append(tuple.__new__(ScanRow, (
                         x, y, label, R_A, R_B, R_C, lp_a, lp_b, lp_c, lhs, rhs, lhs - rhs
-                    ))
+                    )))
                     continue
             F = PointFrame(T, Point2(x, y))
             _, region, lhs, rhs, parts = frame_values(_SIGNED, F, classify_frame(F))
             lp = [math.nan, math.nan, math.nan]
             for side, _, value in parts:
                 lp[side] = value
-            append(ScanRow(x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs))
+            append(tuple.__new__(
+                ScanRow, (x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs)
+            ))
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

@@ -4,6 +4,9 @@ Nothing in here imports the package under test.  Each helper recomputes a
 quantity from first principles along a different code path than the library
 uses: bisector lengths by intersecting the bisector ray with the opposite
 line, region membership by raw side-of-line tests against each sideline.
+The simplex descent is kept in its earlier form, which holds its vertices
+in lists and orders them with ``sorted``, as a reference for the points the
+library's descent visits.
 """
 
 import math
@@ -83,3 +86,62 @@ def point_line_distance(M, P, Q):
     """Unsigned distance from M to the line through P and Q."""
     cross = (Q[0] - P[0]) * (M[1] - P[1]) - (Q[1] - P[1]) * (M[0] - P[0])
     return abs(cross) / math.hypot(Q[0] - P[0], Q[1] - P[1])
+
+
+def _simplex_size(pts) -> float:
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    return max(
+        math.hypot(x0 - x1, y0 - y1), math.hypot(x0 - x2, y0 - y2), math.hypot(x1 - x2, y1 - y2)
+    )
+
+
+_INDICES = (0, 1, 2)
+_MAX_ITER = 500
+
+
+def reference_nelder_mead(f, x0, step, tol):
+    """Plain 2-D simplex descent (reflection 1, expansion 2, contraction 0.5)."""
+    pts = [x0, (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
+    vals = [f(*p) for p in pts]
+    for _ in range(_MAX_ITER):
+        # Ordered by (value, index): the index breaks ties and no point is compared.
+        (v0, _, p0), (v1, _, p1), (v2, _, p2) = sorted(zip(vals, _INDICES, pts))
+        pts = [p0, p1, p2]
+        vals = [v0, v1, v2]
+        if _simplex_size(pts) < tol:
+            break
+        cx = (pts[0][0] + pts[1][0]) / 2.0
+        cy = (pts[0][1] + pts[1][1]) / 2.0
+        xr = (cx + (cx - pts[2][0]), cy + (cy - pts[2][1]))
+        fr = f(*xr)
+        if fr < vals[0]:
+            xe = (cx + 2.0 * (cx - pts[2][0]), cy + 2.0 * (cy - pts[2][1]))
+            fe = f(*xe)
+            if fe < fr:
+                pts[2], vals[2] = xe, fe
+            else:
+                pts[2], vals[2] = xr, fr
+            continue
+        if fr < vals[1]:
+            pts[2], vals[2] = xr, fr
+            continue
+        if fr < vals[2]:
+            xc = (cx + 0.5 * (xr[0] - cx), cy + 0.5 * (xr[1] - cy))
+            fc = f(*xc)
+            if fc <= fr:
+                pts[2], vals[2] = xc, fc
+                continue
+        else:
+            xc = (cx - 0.5 * (cx - pts[2][0]), cy - 0.5 * (cy - pts[2][1]))
+            fc = f(*xc)
+            if fc < vals[2]:
+                pts[2], vals[2] = xc, fc
+                continue
+        for i in (1, 2):
+            pts[i] = (
+                pts[0][0] + 0.5 * (pts[i][0] - pts[0][0]),
+                pts[0][1] + 0.5 * (pts[i][1] - pts[0][1]),
+            )
+            vals[i] = f(*pts[i])
+    best_val, _, best_pt = sorted(zip(vals, _INDICES, pts))[0]
+    return best_pt, best_val

@@ -34,7 +34,8 @@ from barrow.harness import (
     _nelder_mead,
 )
 from barrow.inequalities import bound_report, frame_report
-from barrow.regions import classify_frame
+from barrow.regions import OPEN_PATTERNS, classify_frame
+import oracles
 
 
 def fuzz_snapshot(report):
@@ -373,6 +374,80 @@ def test_nelder_mead_quadratic_bowl():
     assert value < 1e-12
 
 
+def _walled_bowl(x, y):
+    """A bowl with NaN left of x = -1 and inf above y = 1."""
+    if x < -1.0:
+        return math.nan
+    if y > 1.0:
+        return math.inf
+    return (x + 0.5) ** 2 + 2.0 * (y - 0.5) ** 2
+
+
+def _simplex_cases():
+    """``(name, objective, x0, step, tol)`` for the simplex reference test."""
+    cases = [
+        ("bowl", lambda x, y: (x - 3.0) ** 2 + 2.0 * (y + 1.0) ** 2, (0.0, 0.0), 0.5, 1e-12),
+        # Every value ties, so every pass shrinks.
+        ("constant", lambda x, y: 1.0, (0.3, -0.2), 0.5, 1e-12),
+        # Unbounded below: the descent runs all _MAX_ITER passes.
+        ("plane", lambda x, y: x + y, (0.0, 0.0), 0.5, 1e-12),
+        # inf - inf: the first side is NaN, which never stops the descent.
+        ("infinite", lambda x, y: x * x + y * y, (math.inf, 0.0), 0.5, 1e-12),
+    ]
+    # Starts next to either wall, in the corner where they meet and behind
+    # the NaN wall, where the first vertex keeps its NaN.
+    for x0 in [(-0.9, 0.0), (0.0, 0.9), (-0.95, 0.95), (-0.8, -0.5), (1.5, 0.8), (-1.2, 0.0)]:
+        cases.append(("walls", _walled_bowl, x0, 0.3, 1e-12))
+    # The search's own objective, steps and starts; off their domain the
+    # interior-only bounds read inf.
+    rng = random.Random(11)
+    for shape in ("random", "equilateral-perturbed"):
+        for _ in range(2):
+            T = sample_triangle(rng, shape)
+            for inequality in inequalities.BOUNDS:
+                interior = inequality in inequalities.INTERIOR_IDS
+                cycle = (Region.LAMBDA0,) if interior else tuple(OPEN_PATTERNS)
+                objective = inequalities.slack_function(T, inequality)
+                for k in range(3):
+                    start = sample_point(rng, T, cycle[k % len(cycle)])
+                    cases.append((
+                        inequality.value, objective, (start.x, start.y),
+                        0.05 * T.diameter, 1e-10 * T.diameter,
+                    ))
+    return cases
+
+
+def test_nelder_mead_visits_the_reference_points():
+    # The descent keeps its vertices in locals and orders them with three
+    # compares; it must visit the points of the list-based reference, in
+    # their order, and return its bits.
+    assert harness._MAX_ITER == oracles._MAX_ITER
+    walls = {}
+    for name, f, x0, step, tol in _simplex_cases():
+        visited = {"new": [], "reference": []}
+
+        def recorded(key):
+            def g(x, y):
+                value = f(x, y)
+                visited[key].append((x.hex(), y.hex(), float(value).hex()))
+                return value
+            return g
+
+        got = _nelder_mead(recorded("new"), x0, step, tol)
+        want = oracles.reference_nelder_mead(recorded("reference"), x0, step, tol)
+        assert visited["new"] == visited["reference"], (name, x0)
+        assert [float.hex(v) for v in (*got[0], got[1])] == [
+            float.hex(v) for v in (*want[0], want[1])
+        ], (name, x0)
+        walls.setdefault(name, set()).update(
+            value for _, _, value in visited["new"] if value in ("nan", "inf")
+        )
+    # The walled bowl meets both walls, the interior-only bounds their inf.
+    assert walls["walls"] == {"nan", "inf"}
+    for inequality in inequalities.INTERIOR_IDS:
+        assert walls[inequality.value] == {"inf"}, inequality
+
+
 def test_tightness_search_equilateral_finds_circumcenter(equilateral):
     point, slack = tightness_search(equilateral, InequalityId.BARROW1, starts=6, seed=4)
     center = Point2(0.5, math.sqrt(3.0) / 6.0)
@@ -420,6 +495,14 @@ def test_tightness_search_rejects_vertex_ids(unit_right):
     for starts in (2.5, 2.0, True, "3", None):
         with pytest.raises(DomainError):
             tightness_search(unit_right, InequalityId.BARROW1, starts=starts)
+    # None would seed from os.urandom, and equal calls would differ.
+    for seed in (None, 1.0, True, "1"):
+        with pytest.raises(DomainError):
+            tightness_search(unit_right, InequalityId.BARROW1, starts=1, seed=seed)
+    # A bound's value or name is not its id; it would end in a KeyError.
+    for inequality in ("Barrow1", "BARROW1", None):
+        with pytest.raises(DomainError):
+            tightness_search(unit_right, inequality)
 
 
 def test_search_builds_one_frame_per_start(scalene, monkeypatch):
