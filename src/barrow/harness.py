@@ -13,12 +13,13 @@ fuzz cell: with each sample's reports in index order, and with each chunk's
 cells in chunk order.
 
 The fuzz reads each bound's values from
-:func:`~barrow.inequalities.frame_values`.  The search reads the slack
-kernel :func:`~barrow.inequalities.slack_function`, and the scan evaluates
-the signed bound of each cell from its three cross products; both fall back
-to a frame only on a sideline, on a vertex or at overflowing distances.
-None builds a report record; their numbers are the reports' numbers, bit
-for bit.
+:func:`~barrow.inequalities.frame_values`.  The search and the scan read
+the one frameless point kernel,
+:func:`~barrow.inequalities.values_function`: the scan takes its rows, the
+search their slack through :func:`~barrow.inequalities.slack_function`.  It
+falls back to a frame only on a sideline, on a vertex or at overflowing
+distances.  None builds a report record; their numbers are the reports'
+numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,17 +32,16 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, GeometryError
-from .bisectors import _bisector
-from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, side_coordinate
+from .geom import Point2, PointFrame, Triangle, side_coordinate
 from .inequalities import (
     BOUNDS,
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
     VERTEX_IDS,
     InequalityId,
-    _weight,
     frame_values,
     slack_function,
+    values_function,
 )
 from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify_frame
 
@@ -107,12 +107,19 @@ class FuzzConfig:
             raise DomainError(
                 f"unknown triangle shape {self.triangle_shape!r}, expected one of {TRIANGLE_SHAPES}"
             )
+        # A list has no ``get``; a bool share would pass for 1 or 0.
+        if not isinstance(self.region_mix, dict):
+            raise DomainError(f"region_mix must be a dict, got {self.region_mix!r}")
         unknown = set(self.region_mix) - set(STRATA)
         if unknown:
             raise DomainError(f"unknown region-mix strata {sorted(unknown)}")
         total = 0.0
         for name in STRATA:
             share = self.region_mix.get(name, 0.0)
+            if not isinstance(share, (int, float)) or isinstance(share, bool):
+                raise DomainError(
+                    f"proportion for stratum {name!r} must be an int or a float, got {share!r}"
+                )
             if not (math.isfinite(share) and share >= 0.0):
                 raise DomainError(
                     f"proportion for stratum {name!r} must be finite and non-negative, got {share}"
@@ -327,7 +334,7 @@ def _pick_stratum(rng: random.Random, table: list[tuple[float, str]]) -> str:
     return table[-1][1]
 
 
-#: The ``BOUNDS`` entries the fuzz and the scan evaluate, looked up once:
+#: The ``BOUNDS`` entries the fuzz evaluates, looked up once:
 #: hashing an ``InequalityId`` runs Python code on every lookup.
 _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
     BOUNDS[InequalityId.SIGNED_BARROW30],
@@ -338,8 +345,6 @@ _SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
 #: Read once per sample; on Python 3.10 and 3.11 reading an enum member off
 #: its class runs Python code.
 _LAMBDA0 = Region.LAMBDA0
-#: The label of each open region, by its snapped sign pattern, for the scan.
-_LABEL_BY_PATTERN = {pattern: region.value for region, pattern in OPEN_PATTERNS.items()}
 
 
 def _fold_cell(cells: dict, key: str, count: int, violation_count: int, slack: float,
@@ -649,14 +654,11 @@ class ScanGrid:
 def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: int) -> ScanGrid:
     """Classify and evaluate the weighted bound at every cell center.
 
-    Each row holds the values ``frame_report(SIGNED_BARROW30, ...)`` reports
-    at its cell center, bit for bit.  Vertex-coincident cells report the
-    reduced vertex bound, with the two undefined bisector columns as NaN.
-    A cell off the sidelines and the vertices, whose squared distances do
-    not overflow, is evaluated from its three cross products without a
-    frame, with the float operations of :class:`PointFrame` and of the
-    weighted bound in their order; only snapped, vertex and overflowing
-    cells build a frame, so each rare branch is written once.  Raises
+    Each row is the row of :func:`~barrow.inequalities.values_function` for
+    SIGNED_BARROW30 at its cell center: the values ``frame_report`` reports
+    there, bit for bit.  Vertex-coincident cells report the reduced vertex
+    bound, with the two undefined bisector columns as NaN.  Only snapped,
+    vertex and overflowing cells build a frame.  Raises
     DomainError when ``resolution`` is not an int of at least 2, when the
     box is empty, or when its cells are too wide for floats.
     """
@@ -672,59 +674,10 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     dy = (y1 - y0) / resolution
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise DomainError(f"bounding box {bbox} is too wide: its cell size overflows")
-    (Ax, Ay), (Bx, By), (Cx, Cy) = T.A, T.B, T.C
-    area, near, eps, inf = T.area, COINCIDENCE_FACTOR * T.diameter, DEFAULT_EPS, math.inf
-    hypot = math.hypot
+    row = values_function(T, InequalityId.SIGNED_BARROW30)
     xs = [x0 + (ix + 0.5) * dx for ix in range(resolution)]
-    rows = []
+    ys = [y0 + (iy + 0.5) * dy for iy in range(resolution)]
     # ``tuple.__new__`` builds the same row as ``ScanRow(...)`` without the
     # generated ``__new__``, a Python function.
-    append = rows.append
-    for iy in range(resolution):
-        y = y0 + (iy + 0.5) * dy
-        ay, by, cy = Ay - y, By - y, Cy - y
-        for x in xs:
-            ax, bx, cx = Ax - x, Bx - x, Cx - x
-            k_a, k_b, k_c = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
-            # A frame's ``_keep_sign`` only moves a zero ratio to +-5e-324,
-            # which snaps to 0 at eps as zero does.
-            u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
-            label = _LABEL_BY_PATTERN.get((
-                1 if u > eps else -1 if u < -eps else 0,
-                1 if v > eps else -1 if v < -eps else 0,
-                1 if w > eps else -1 if w < -eps else 0,
-            ))
-            if label is not None:
-                R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
-                far = R_B if R_B > R_A else R_A
-                far = R_C if R_C > far else far
-                nearest = R_B if R_B < R_A else R_A
-                nearest = R_C if R_C < nearest else nearest
-                if 2.0 * far * far != inf and nearest > near:
-                    l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
-                    l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
-                    l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
-                    lp_a = -l_a if u < 0.0 else l_a
-                    lp_b = -l_b if v < 0.0 else l_b
-                    lp_c = -l_c if w < 0.0 else l_c
-                    lhs = R_A + R_B + R_C
-                    # Summed from 0.0 in side order, as frame_values sums.
-                    rhs = (
-                        0.0
-                        + _weight(R_B, R_C) * lp_a
-                        + _weight(R_C, R_A) * lp_b
-                        + _weight(R_A, R_B) * lp_c
-                    )
-                    append(tuple.__new__(ScanRow, (
-                        x, y, label, R_A, R_B, R_C, lp_a, lp_b, lp_c, lhs, rhs, lhs - rhs
-                    )))
-                    continue
-            F = PointFrame(T, Point2(x, y))
-            _, region, lhs, rhs, parts = frame_values(_SIGNED, F, classify_frame(F))
-            lp = [math.nan, math.nan, math.nan]
-            for side, _, value in parts:
-                lp[side] = value
-            append(tuple.__new__(
-                ScanRow, (x, y, region.value, *F.R, *lp, lhs, rhs, lhs - rhs)
-            ))
+    rows = [tuple.__new__(ScanRow, row(x, y)) for y in ys for x in xs]
     return ScanGrid(bbox=bbox, resolution=resolution, rows=rows)

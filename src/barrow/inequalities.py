@@ -6,10 +6,10 @@ identifier to its domain and to its evaluator on a
 bound, the region, the lhs and the (side, weight, value) parts of the rhs,
 each side its index 0, 1 or 2.  :func:`frame_values` applies the domain and
 sums the rhs; the fuzz reads those values and builds no records.  The
-search reads the slack of :func:`slack_function`, and the scan
-(:func:`~barrow.harness.grid_scan`) the signed bound's values from its own
-cell kernel; neither builds a frame off the sidelines and the vertices, and
-both keep the bits :func:`frame_values` gives.  Only :func:`frame_report`
+search and the scan (:func:`~barrow.harness.grid_scan`) read one frameless
+point kernel, :func:`values_function`, the search through its slack adapter
+:func:`slack_function`; it builds no frame off the sidelines and the
+vertices, and keeps the bits :func:`frame_values` gives.  Only :func:`frame_report`
 builds an :class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
 valid inputs, up to floating-point tolerance; that non-negativity is the
 property the rest of the repository tests), ``tight`` and one :class:`Term`
@@ -30,8 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 from .bisectors import _bisector, frame_bisectors, frame_signed_bisectors, side_bisector
 from .errors import DomainError, GeometryError, OutsideInterior, VertexCoincidence
 from .geom import COINCIDENCE_FACTOR, DistanceTriple, Point2, PointFrame, Triangle, _keep_sign
-from .regions import DEFAULT_EPS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
-from .regions import _REGION_BY_PATTERN
+from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
 
 #: |slack| below this fraction of (R_A+R_B+R_C) is reported as an equality case.
 DEFAULT_TOL_FACTOR = 1e-9
@@ -212,6 +211,8 @@ _ERDOS_MORDELL2 = InequalityId.ERDOS_MORDELL2
 _DERGIADES3 = InequalityId.DERGIADES3
 _LU_WEIGHTED13 = InequalityId.LU_WEIGHTED13
 _SIGNED_BARROW30 = InequalityId.SIGNED_BARROW30
+#: The label of each open region, by its snapped sign pattern.
+_LABEL_BY_PATTERN = {pattern: region.value for region, pattern in OPEN_PATTERNS.items()}
 
 #: What an evaluator says its bound is at a point: the bound, the region it
 #: reports, the lhs, and the (side index, weight, value) of each rhs term.
@@ -317,36 +318,46 @@ def frame_values(bound: _Entry, F: PointFrame, region: Region) -> _Values | None
     return inequality, region, lhs, rhs, parts
 
 
-def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
-    """The slack ``bound_report(inequality, T, Point2(x, y))`` reports, as a function of (x, y).
+def values_function(
+    T: Triangle, inequality: InequalityId
+) -> Callable[[float, float], tuple | None]:
+    """The values ``bound_report(inequality, T, Point2(x, y))`` reports, as a function of (x, y).
 
-    It is inf wherever that call raises GeometryError or ValueError, and off
-    the bound's domain.  The search's kernel: a point off the sidelines and
-    the vertices, with squared distances that do not overflow, is evaluated
-    without a frame, with the float operations of :class:`PointFrame` and of
-    the bound's evaluator in their order, so the slack keeps its bits.  Any
-    other point goes through the frame, where each rare branch is written once.
+    The closure returns ``(x, y, region label, R_A, R_B, R_C, t_a, t_b, t_c,
+    lhs, rhs, slack)``, in :class:`~barrow.harness.ScanRow` order, where each
+    ``t`` is the bound's term value on that side, NaN for a side without one.
+    It returns None off an interior-only bound's domain, and otherwise raises
+    what that call raises.  The one frameless kernel of the search and the
+    scan: a point off the sidelines and the vertices, with squared distances
+    that do not overflow, is evaluated from its crosses, with the float
+    operations of :class:`PointFrame` and of the bound's evaluator in their
+    order, so every value keeps its bits.  Any other point goes through the
+    frame and :func:`frame_values`, where each rare branch is written once.
     """
     bound = BOUNDS[inequality]
     interior_only = bound[0]
     (Ax, Ay), (Bx, By), (Cx, Cy) = T.A, T.B, T.C
     area, s, near = T.area, T.orient_sign, COINCIDENCE_FACTOR * T.diameter
-    # The two distance bounds sum signed distances, the others bisectors.
+    # The two distance bounds sum signed distances, the others bisectors;
+    # the two weighted bounds weigh each term by its point's distances.
     distances = inequality is _ERDOS_MORDELL2 or inequality is _DERGIADES3
-    w_a, w_b, w_c = _TWO if inequality is _ERDOS_MORDELL2 else T.ratio_weights
-    a, b, c, s2, eps, inf = T.a, T.b, T.c, s * 2.0, DEFAULT_EPS, math.inf
+    weighted = inequality is _LU_WEIGHTED13 or inequality is _SIGNED_BARROW30
+    fixed = T.ratio_weights if inequality is _DERGIADES3 else _TWO
+    a, b, c, s2, eps, inf, nan = T.a, T.b, T.c, s * 2.0, DEFAULT_EPS, math.inf, math.nan
+    lambda0, hypot = _LAMBDA0.value, math.hypot
 
-    def frame_slack(x: float, y: float) -> float:
-        try:
-            F = PointFrame(T, Point2(x, y))
-            values = frame_values(bound, F, classify_frame(F))
-        except (GeometryError, ValueError):
-            return inf
-        return inf if values is None else values[2] - values[3]
+    def frame_row(x: float, y: float) -> tuple | None:
+        F = PointFrame(T, Point2(x, y))
+        values = frame_values(bound, F, classify_frame(F))
+        if values is None:
+            return None
+        _, region, lhs, rhs, parts = values
+        t = [nan, nan, nan]
+        for side, _, value in parts:
+            t[side] = value
+        return (x, y, region.value, *F.R, *t, lhs, rhs, lhs - rhs)
 
-    def slack(x: float, y: float) -> float:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return inf
+    def row(x: float, y: float) -> tuple | None:
         ax, ay = Ax - x, Ay - y
         bx, by = Bx - x, By - y
         cx, cy = Cx - x, Cy - y
@@ -356,40 +367,62 @@ def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
         u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
         if interior_only:
             if not (u > eps and v > eps and w > eps):
-                return inf
-        elif (
-            1 if u > eps else -1 if u < -eps else 0,
-            1 if v > eps else -1 if v < -eps else 0,
-            1 if w > eps else -1 if w < -eps else 0,
-        ) not in _REGION_BY_PATTERN:
-            return frame_slack(x, y)
-        R_A, R_B, R_C = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
+                return None
+            label = lambda0
+        else:
+            label = _LABEL_BY_PATTERN.get((
+                1 if u > eps else -1 if u < -eps else 0,
+                1 if v > eps else -1 if v < -eps else 0,
+                1 if w > eps else -1 if w < -eps else 0,
+            ))
+            if label is None:
+                return frame_row(x, y)
+        R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
         far = R_B if R_B > R_A else R_A
         far = R_C if R_C > far else far
         nearest = R_B if R_B < R_A else R_A
         nearest = R_C if R_C < nearest else nearest
         if 2.0 * far * far == inf or nearest <= near:
-            return frame_slack(x, y)
-        R_sum = R_A + R_B + R_C
+            return frame_row(x, y)
         if distances:
-            d_a, d_b, d_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
-            if not (d_a and d_b and d_c):
-                d_a, d_b, d_c = map(_keep_sign, (d_a, d_b, d_c), (k_a, k_b, k_c), (s, s, s))
-            return R_sum - (0.0 + w_a * d_a + w_b * d_b + w_c * d_c)
-        try:
+            t_a, t_b, t_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
+            if not (t_a and t_b and t_c):
+                t_a, t_b, t_c = map(_keep_sign, (t_a, t_b, t_c), (k_a, k_b, k_c), (s, s, s))
+        else:
+            # Barrow1 reads unsigned lengths; on its domain, the interior, no sign flips.
             l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
             l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
             l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
-        except GeometryError:
+            t_a = -l_a if u < 0.0 else l_a
+            t_b = -l_b if v < 0.0 else l_b
+            t_c = -l_c if w < 0.0 else l_c
+        if weighted:
+            w_a, w_b, w_c = _weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B)
+        else:
+            w_a, w_b, w_c = fixed
+        lhs = R_A + R_B + R_C
+        # Summed from 0.0 in side order, as frame_values sums.
+        rhs = 0.0 + w_a * t_a + w_b * t_b + w_c * t_c
+        return x, y, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, lhs - rhs
+
+    return row
+
+
+def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
+    """The slack ``bound_report(inequality, T, Point2(x, y))`` reports, as a function of (x, y).
+
+    It is inf wherever that call raises GeometryError or ValueError, and off
+    the bound's domain: the slack of :func:`values_function`'s row.
+    """
+    row = values_function(T, inequality)
+    inf = math.inf
+
+    def slack(x: float, y: float) -> float:
+        try:
+            values = row(x, y)
+        except (GeometryError, ValueError):
             return inf
-        if inequality is _BARROW1:
-            return R_sum - (0.0 + 2.0 * l_a + 2.0 * l_b + 2.0 * l_c)
-        return R_sum - (
-            0.0
-            + _weight(R_B, R_C) * (-l_a if u < 0.0 else l_a)
-            + _weight(R_C, R_A) * (-l_b if v < 0.0 else l_b)
-            + _weight(R_A, R_B) * (-l_c if w < 0.0 else l_c)
-        )
+        return inf if values is None else values[11]
 
     return slack
 

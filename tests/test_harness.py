@@ -139,6 +139,11 @@ def test_fuzz_config_validation():
         FuzzConfig(n=200, seed=0, region_mix={"lambda0": float("nan")})
     with pytest.raises(DomainError):
         FuzzConfig(n=10, seed=1, region_mix={"lambda0": 1.0, "mu1": float("nan")})
+    # Only a dict of int or float shares is a mix: a string or None share
+    # would reach math.isfinite, a list has no get, and True would pass for 1.
+    for mix in ({"lambda0": "1"}, {"lambda0": None}, ["lambda0"], {"lambda0": True}):
+        with pytest.raises(DomainError, match="must be a dict|must be an int or a float"):
+            FuzzConfig(n=10, seed=1, region_mix=mix)
     # The seed names the streams and n counts samples: only an int will do.
     # 1.0 compares equal to 1 but would name other streams; a bool is an int
     # subclass that no caller means as a seed.
@@ -600,16 +605,33 @@ def _sampled_objective_cases():
 
 @pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
 def test_search_objective_is_the_report_slack(scalene, inequality):
-    # The search reads the slack without building a report; it must be the
-    # report's slack bit for bit, and inf wherever the report raises.
+    # The search and the scan read the point kernel's rows without building
+    # a report: each row must hold the report's values bit for bit, with NaN
+    # for a side without a term.  Where the report raises, the kernel raises
+    # the same error or, off an interior-only bound's domain, returns None,
+    # and the search's slack is inf.
     for T, points in [(scalene, OBJECTIVE_POINTS), *_sampled_objective_cases()]:
+        row = inequalities.values_function(T, inequality)
         objective = inequalities.slack_function(T, inequality)
         for x, y in points:
             try:
-                expected = bound_report(inequality, T, Point2(x, y)).slack
-            except (GeometryError, ValueError):
-                expected = math.inf
-            assert same_bits(objective(x, y), expected), (inequality, T, x, y)
+                rep = bound_report(inequality, T, Point2(x, y))
+            except (GeometryError, ValueError) as exc:
+                try:
+                    got = row(x, y)
+                except (GeometryError, ValueError) as raised:
+                    got = type(raised)
+                assert got is type(exc) or (got is None and inequality in inequalities.INTERIOR_IDS)
+                assert objective(x, y) == math.inf, (inequality, T, x, y)
+                continue
+            terms = [math.nan, math.nan, math.nan]
+            for term in rep.terms:
+                terms["abc".index(term.side)] = term.value
+            want = (x, y, rep.region.value, *PointFrame(T, Point2(x, y)).R, *terms,
+                    rep.lhs, rep.rhs, rep.slack)
+            got = row(x, y)
+            assert all(same_bits(g, w) for g, w in zip(got, want, strict=True)), (T, x, y)
+            assert same_bits(objective(x, y), rep.slack), (inequality, T, x, y)
 
 
 def _scan_cases():
