@@ -12,9 +12,9 @@ fuzz chunk builds one table of its stratum thresholds.  One fold updates a
 fuzz cell: with each sample's reports in index order, and with each chunk's
 cells in chunk order.
 
-The fuzz reads each bound's values from
-:func:`~barrow.inequalities.frame_values`.  The search and the scan read
-the one frameless point kernel,
+The fuzz reads every bound of a sample in one pass over the frame its
+sampler built, :func:`~barrow.inequalities.frame_slacks`.  The search and
+the scan read the one frameless point kernel,
 :func:`~barrow.inequalities.values_function`: the scan takes its rows, the
 search their slack through :func:`~barrow.inequalities.slack_function`.  It
 falls back to a frame only on a sideline, on a vertex or at overflowing
@@ -34,12 +34,11 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, GeometryError
 from .geom import Point2, PointFrame, Triangle, side_coordinate
 from .inequalities import (
-    BOUNDS,
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
     VERTEX_IDS,
     InequalityId,
-    frame_values,
+    frame_slacks,
     slack_function,
     values_function,
 )
@@ -110,6 +109,10 @@ class FuzzConfig:
         # A list has no ``get``; a bool share would pass for 1 or 0.
         if not isinstance(self.region_mix, dict):
             raise DomainError(f"region_mix must be a dict, got {self.region_mix!r}")
+        # The config keeps its own copy, so a change to the caller's dict
+        # after validation reaches no run.  A dict, not a read-only view,
+        # because the chunks are pickled to the workers.
+        object.__setattr__(self, "region_mix", dict(self.region_mix))
         unknown = set(self.region_mix) - set(STRATA)
         if unknown:
             raise DomainError(f"unknown region-mix strata {sorted(unknown)}")
@@ -144,12 +147,16 @@ def sample_triangle(
     the unit equilateral with every coordinate jiggled by ``perturbation``
     (log-uniform random when not given; 0 gives the exact equilateral).
     """
+    # Each draw is ``a + (b - a) * random()``, what ``rng.uniform(a, b)``
+    # computes, without its call.
+    random = rng.random
     if shape == "random":
         for _ in range(_MAX_RESAMPLE):
-            sc = 10.0 ** rng.uniform(-1.0, 1.5)
-            ox, oy = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            sc = 10.0 ** (-1.0 + (1.5 - -1.0) * random())
+            ox, oy = -10.0 + (10.0 - -10.0) * random(), -10.0 + (10.0 - -10.0) * random()
             coords = [
-                (ox + sc * rng.uniform(-1.0, 1.0), oy + sc * rng.uniform(-1.0, 1.0))
+                (ox + sc * (-1.0 + (1.0 - -1.0) * random()),
+                 oy + sc * (-1.0 + (1.0 - -1.0) * random()))
                 for _ in range(3)
             ]
             try:
@@ -161,15 +168,17 @@ def sample_triangle(
         return Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
 
     if shape == "near-degenerate":
-        lo, hi = height_band
+        log_lo, log_hi = math.log10(height_band[0]), math.log10(height_band[1])
         for _ in range(_MAX_RESAMPLE):
-            sc = 10.0 ** rng.uniform(-1.0, 1.5)
-            ox, oy = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
-            B = Point2(ox + sc * rng.uniform(-1.0, 1.0), oy + sc * rng.uniform(-1.0, 1.0))
-            C = Point2(ox + sc * rng.uniform(-1.0, 1.0), oy + sc * rng.uniform(-1.0, 1.0))
-            s = rng.uniform(0.2, 0.8)
-            h = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
-            flip = 1.0 if rng.random() < 0.5 else -1.0
+            sc = 10.0 ** (-1.0 + (1.5 - -1.0) * random())
+            ox, oy = -10.0 + (10.0 - -10.0) * random(), -10.0 + (10.0 - -10.0) * random()
+            B = Point2(ox + sc * (-1.0 + (1.0 - -1.0) * random()),
+                       oy + sc * (-1.0 + (1.0 - -1.0) * random()))
+            C = Point2(ox + sc * (-1.0 + (1.0 - -1.0) * random()),
+                       oy + sc * (-1.0 + (1.0 - -1.0) * random()))
+            s = 0.2 + (0.8 - 0.2) * random()
+            h = 10.0 ** (log_lo + (log_hi - log_lo) * random())
+            flip = 1.0 if random() < 0.5 else -1.0
             ex, ey = C.x - B.x, C.y - B.y
             length = math.hypot(ex, ey)
             if length < 0.1 * sc:
@@ -184,13 +193,14 @@ def sample_triangle(
 
     if shape == "equilateral-perturbed":
         if perturbation is None:
-            perturbation = 10.0 ** rng.uniform(-6.0, -0.5)
+            perturbation = 10.0 ** (-6.0 + (-0.5 - -6.0) * random())
         base = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
         if perturbation == 0.0:
             return Triangle(*(Point2(x, y) for x, y in base))
         for _ in range(_MAX_RESAMPLE):
             coords = [
-                (x + perturbation * rng.uniform(-1.0, 1.0), y + perturbation * rng.uniform(-1.0, 1.0))
+                (x + perturbation * (-1.0 + (1.0 - -1.0) * random()),
+                 y + perturbation * (-1.0 + (1.0 - -1.0) * random()))
                 for x, y in base
             ]
             try:
@@ -221,23 +231,24 @@ def _sample_region_point(
 ) -> tuple[PointFrame, Region]:
     region, negs, pos = plan
     (ax, ay), (bx, by), (cx, cy) = T.A, T.B, T.C
-    uniform = rng.uniform
+    # ``rng.uniform`` draws written out, as in :func:`sample_triangle`.
+    random, m = rng.random, _BARY_MARGIN
     for _ in range(_MAX_RESAMPLE):
         vals = [0.0, 0.0, 0.0]
         if not negs:
-            vals[0] = uniform(_BARY_MARGIN, 1.0 - 2.0 * _BARY_MARGIN)
-            vals[1] = uniform(_BARY_MARGIN, 1.0 - _BARY_MARGIN - vals[0])
+            vals[0] = m + ((1.0 - 2.0 * m) - m) * random()
+            vals[1] = m + ((1.0 - m - vals[0]) - m) * random()
             vals[2] = 1.0 - vals[0] - vals[1]
         elif len(negs) == 1:
             (n,), (p1, p2) = negs, pos
-            vals[n] = -uniform(_BARY_MARGIN, 2.0)
+            vals[n] = -(m + (2.0 - m) * random())
             rest = 1.0 - vals[n]
-            vals[p1] = uniform(_BARY_MARGIN, rest - _BARY_MARGIN)
+            vals[p1] = m + ((rest - m) - m) * random()
             vals[p2] = rest - vals[p1]
         else:
             (n1, n2), (p,) = negs, pos
-            vals[n1] = -uniform(_BARY_MARGIN, 2.0)
-            vals[n2] = -uniform(_BARY_MARGIN, 2.0)
+            vals[n1] = -(m + (2.0 - m) * random())
+            vals[n2] = -(m + (2.0 - m) * random())
             vals[p] = 1.0 - vals[n1] - vals[n2]
         u, v, w = vals
         F = PointFrame(T, Point2(u * ax + v * bx + w * cx, u * ay + v * by + w * cy))
@@ -251,9 +262,11 @@ def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
     V = T.vertices
     best = None
     best_coord = math.inf
+    # ``rng.uniform`` draws written out, as in :func:`sample_triangle`.
+    randrange, random = rng.randrange, rng.random
     for _ in range(_MAX_RESAMPLE):
-        k = rng.randrange(3)
-        t = rng.uniform(-2.0, 3.0)
+        k = randrange(3)
+        t = -2.0 + (3.0 - -2.0) * random()
         if abs(t) < 0.05 or abs(t - 1.0) < 0.05:
             continue
         i, j = SIDE_ENDS[k]
@@ -272,9 +285,11 @@ def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
 
 
 def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> PointFrame:
+    # ``rng.uniform`` draws written out, as in :func:`sample_triangle`.
+    random = rng.random
     V = T.vertices[rng.randrange(3)]
-    r = T.diameter * 10.0 ** rng.uniform(-10.0, -6.0)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    r = T.diameter * 10.0 ** (-10.0 + (-6.0 - -10.0) * random())
+    theta = 0.0 + (2.0 * math.pi - 0.0) * random()
     return PointFrame(T, Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta)))
 
 
@@ -334,19 +349,6 @@ def _pick_stratum(rng: random.Random, table: list[tuple[float, str]]) -> str:
     return table[-1][1]
 
 
-#: The ``BOUNDS`` entries the fuzz evaluates, looked up once:
-#: hashing an ``InequalityId`` runs Python code on every lookup.
-_SIGNED, _DERGIADES, _BARROW, _ERDOS_MORDELL = (
-    BOUNDS[InequalityId.SIGNED_BARROW30],
-    BOUNDS[InequalityId.DERGIADES3],
-    BOUNDS[InequalityId.BARROW1],
-    BOUNDS[InequalityId.ERDOS_MORDELL2],
-)
-#: Read once per sample; on Python 3.10 and 3.11 reading an enum member off
-#: its class runs Python code.
-_LAMBDA0 = Region.LAMBDA0
-
-
 def _fold_cell(cells: dict, key: str, count: int, violation_count: int, slack: float,
                index: int, where: Callable[[], tuple]) -> None:
     """Fold ``count`` reports, ``violation_count`` of them violations, into cell ``key``.
@@ -389,28 +391,20 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig,
     T = sample_triangle(rng, config.triangle_shape, height_band=band)
     F, region = _sample_frame(rng, T, stratum)
     tol = config.tol_factor * F.R_sum
-    values = [frame_values(_SIGNED, F, region), frame_values(_DERGIADES, F, region)]
-    # A lambda0 signed report rules out a vertex, so the interior-only
-    # bounds are defined here.
-    if values[0][1] is _LAMBDA0:
-        values.append(frame_values(_BARROW, F, region))
-        values.append(frame_values(_ERDOS_MORDELL, F, region))
 
     def where():
         return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [F.M.x, F.M.y]
 
-    for inequality, region, lhs, rhs, _ in values:
-        slack = lhs - rhs
+    for inequality, label, slack in frame_slacks(F, region):
         violated = slack < -tol
-        # ``_value_`` is ``value`` without the property call.
-        _fold_cell(cells, f"{inequality._value_}/{region._value_}", 1, violated, slack, index, where)
+        _fold_cell(cells, f"{inequality}/{label}", 1, violated, slack, index, where)
         if violated:
             triangle, point = where()
             violations.append(
                 {
                     "index": index,
-                    "inequality": inequality._value_,
-                    "region": region._value_,
+                    "inequality": inequality,
+                    "region": label,
                     "slack": slack,
                     "tol": tol,
                     "triangle": triangle,

@@ -5,12 +5,15 @@ identifier to its domain and to its evaluator on a
 :class:`~barrow.geom.PointFrame`.  An evaluator returns a ``_Bound``: the
 bound, the region, the lhs and the (side, weight, value) parts of the rhs,
 each side its index 0, 1 or 2.  :func:`frame_values` applies the domain and
-sums the rhs; the fuzz reads those values and builds no records.  The
-search and the scan (:func:`~barrow.harness.grid_scan`) read one frameless
-point kernel, :func:`values_function`, the search through its slack adapter
+sums the rhs.  The fuzz reads every bound of a sample at once from
+:func:`frame_slacks`, one pass over its frame that keeps the slack bits
+:func:`frame_values` gives.  The search and the scan
+(:func:`~barrow.harness.grid_scan`) read one frameless point kernel,
+:func:`values_function`, the search through its slack adapter
 :func:`slack_function`; it builds no frame off the sidelines and the
-vertices, and keeps the bits :func:`frame_values` gives.  Only :func:`frame_report`
-builds an :class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
+vertices, and keeps the bits :func:`frame_values` gives.  None of the three
+builds a record.  Only :func:`frame_report` builds an
+:class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
 valid inputs, up to floating-point tolerance; that non-negativity is the
 property the rest of the repository tests), ``tight`` and one :class:`Term`
 per rhs part, which names its side ``a``, ``b`` or ``c``.
@@ -316,6 +319,53 @@ def frame_values(bound: _Entry, F: PointFrame, region: Region) -> _Values | None
     for _, w, x in parts:
         rhs += w * x
     return inequality, region, lhs, rhs, parts
+
+
+#: The entries and labels :func:`frame_slacks` reads, looked up once: hashing
+#: an ``InequalityId`` runs Python code on every lookup.
+_SIGNED_ENTRY, _DERGIADES_ENTRY = BOUNDS[_SIGNED_BARROW30], BOUNDS[_DERGIADES3]
+_SIGNED_LABEL, _LU_LABEL, _DERGIADES_LABEL, _BARROW_LABEL, _ERDOS_MORDELL_LABEL = (
+    _SIGNED_BARROW30.value, _LU_WEIGHTED13.value, _DERGIADES3.value, _BARROW1.value,
+    _ERDOS_MORDELL2.value,
+)
+
+
+def frame_slacks(F: PointFrame, region: Region) -> tuple[tuple[str, str, float], ...]:
+    """The (bound label, region label, slack) of each bound the fuzz reads at the frame's point.
+
+    In order: the signed bound (``LuWeighted13`` in the interior), then
+    ``Dergiades3``, then ``Barrow1`` and ``ErdosMordell2`` in the interior.
+    Each slack has the bits of :func:`frame_values`.  Off the vertices one
+    pass reads the signed bisectors, the signed distances and the weights
+    once and sums each rhs from 0.0 in side order, as :func:`frame_values`
+    sums; in the interior the signed bisectors are the unsigned ones.  A
+    vertex region, or a point on a vertex, goes through :func:`frame_values`,
+    where the vertex routing and the interior-only domain are written.
+    """
+    if F.vertex is not None or region in VERTEX_REGIONS:
+        return tuple(
+            (inequality._value_, got._value_, lhs - rhs)
+            for inequality, got, lhs, rhs, _ in (
+                frame_values(_SIGNED_ENTRY, F, region), frame_values(_DERGIADES_ENTRY, F, region)
+            )
+        )
+    lp_a, lp_b, lp_c = frame_signed_bisectors(F)
+    d_a, d_b, d_c = F.signed_distances()
+    r_a, r_b, r_c = F.T.ratio_weights
+    R_A, R_B, R_C = F.R
+    lhs = F.R_sum
+    label = region._value_
+    w_a, w_b, w_c = _weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B)
+    signed = lhs - (0.0 + w_a * lp_a + w_b * lp_b + w_c * lp_c)
+    dergiades = (_DERGIADES_LABEL, label, lhs - (0.0 + r_a * d_a + r_b * d_b + r_c * d_c))
+    if region is not _LAMBDA0:
+        return (_SIGNED_LABEL, label, signed), dergiades
+    return (
+        (_LU_LABEL, label, signed),
+        dergiades,
+        (_BARROW_LABEL, label, lhs - (0.0 + 2.0 * lp_a + 2.0 * lp_b + 2.0 * lp_c)),
+        (_ERDOS_MORDELL_LABEL, label, lhs - (0.0 + 2.0 * d_a + 2.0 * d_b + 2.0 * d_c)),
+    )
 
 
 def values_function(

@@ -307,6 +307,28 @@ def test_scan_csv_and_svg_bytes_are_pinned(tmp_path, capsys, argv):
     assert digests == PINNED_SCAN_SHA256[argv]
 
 
+#: SHA-256 of the stdout of fuzz JSON runs whose tolerance makes every
+#: report a violation, so each record's inequality, region, slack, tol,
+#: triangle, point and place in the list is pinned.  Made with the libm of
+#: glibc 2.36.
+PINNED_VIOLATIONS_SHA256 = {
+    "random": "90e51127037d2668df492f8047828e2f13e6b0c2eb12124fffdcb28009252184",
+    "near-degenerate": "5b09d8b86ac668870605086ac29068718e10269629f14c9cbc69ab0a03316ab4",
+    "equilateral-perturbed": "21b31345b8b97d547f2a4be7e9b928a77c772128ba7e6ae3b8a80af0ba778581",
+}
+
+
+@pytest.mark.parametrize("shape", list(PINNED_VIOLATIONS_SHA256))
+def test_fuzz_violation_records_are_pinned(capsys, shape):
+    code, out, err = run_cli(
+        capsys, "fuzz", "--n", "300", "--seed", "7", "--json", "--tol=-1e3", "--shape", shape
+    )
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["violation_count"] == report["total_reports"]
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == PINNED_VIOLATIONS_SHA256[shape]
+
+
 def test_fuzz_violation_exit_code(capsys):
     # A negative tolerance flags ordinary results, driving the failure path.
     code, out, _ = run_cli(capsys, "fuzz", "--n", "20", "--seed", "1", "--tol", "-1")

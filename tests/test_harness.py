@@ -27,6 +27,7 @@ from barrow import bisectors, cli, errors, harness, inequalities, regions
 from barrow.errors import GeometryError
 from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
+    DEFAULT_HEIGHT_BAND,
     DEFAULT_REGION_MIX,
     SIDELINE_HEIGHT_BAND,
     STRATA,
@@ -311,7 +312,7 @@ def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
 def test_fuzz_does_each_kernel_step_once_per_sample(monkeypatch):
     # Each sample computes its three bisectors once, however many of its
     # reports read them, and is classified once, by its sampler.
-    calls = {"bisector": 0, "classify": 0}
+    calls = {"bisector": 0, "classify": 0, "signed_distances": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -321,10 +322,73 @@ def test_fuzz_does_each_kernel_step_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(bisectors, "_bisector", counted("bisector", bisectors._bisector))
     monkeypatch.setattr(regions, "classify_pattern", counted("classify", regions.classify_pattern))
+    # Its signed distances are computed once too, though two bounds of an
+    # interior sample read them.
+    monkeypatch.setattr(PointFrame, "signed_distances",
+                        counted("signed_distances", PointFrame.signed_distances))
     for shape in TRIANGLE_SHAPES:
-        calls.update(bisector=0, classify=0)
+        calls.update(bisector=0, classify=0, signed_distances=0)
         fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
-        assert calls == {"bisector": 3000, "classify": 1000}
+        assert calls == {"bisector": 3000, "classify": 1000, "signed_distances": 1000}
+
+
+def _hex_slacks(triples):
+    return [(inequality, region, float.hex(slack)) for inequality, region, slack in triples]
+
+
+def _slacks_from_frame_values(T, M, region):
+    """The fuzz's triples at M, read bound by bound from ``frame_values`` on a new frame."""
+    F = PointFrame(T, M)
+    ids = [InequalityId.SIGNED_BARROW30, InequalityId.DERGIADES3]
+    values = [inequalities.frame_values(inequalities.BOUNDS[i], F, region) for i in ids]
+    # A lambda0 signed report rules out a vertex, so the interior-only
+    # bounds are defined there.
+    if values[0][1] is Region.LAMBDA0:
+        ids = [InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2]
+        values += [inequalities.frame_values(inequalities.BOUNDS[i], F, region) for i in ids]
+    return _hex_slacks((i.value, r.value, lhs - rhs) for i, r, lhs, rhs, _ in values)
+
+
+def test_frame_slacks_are_the_frame_values_slacks(unit_right):
+    # Every stratum of every shape, then frames in the three vertex regions
+    # and one on a vertex of a thin triangle whose sign pattern is open.
+    cases = []
+    for shape in TRIANGLE_SHAPES:
+        for stratum in STRATA:
+            band = SIDELINE_HEIGHT_BAND if stratum == "sideline" else DEFAULT_HEIGHT_BAND
+            for seed in range(30):
+                rng = random.Random(f"{shape}/{stratum}/{seed}")
+                T = sample_triangle(rng, shape, height_band=band)
+                cases.append((T, *harness._sample_frame(rng, T, stratum)))
+    for M in unit_right.vertices:
+        F = PointFrame(unit_right, M)
+        cases.append((unit_right, F, classify_frame(F)))
+    thin = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-3))
+    F = PointFrame(thin, Point2(0.5, 1e-3 - 5e-13))
+    cases.append((thin, F, classify_frame(F)))
+    assert F.vertex == 2 and cases[-1][2] is Region.LAMBDA0
+    seen = set()
+    for T, F, region in cases:
+        got = _hex_slacks(inequalities.frame_slacks(F, region))
+        assert got == _slacks_from_frame_values(T, F.M, region)
+        seen.update((inequality, region) for inequality, region, _ in got)
+    assert {label for label, _ in seen} == {
+        "SignedBarrow30", "LuWeighted13", "Dergiades3", "Barrow1", "ErdosMordell2",
+        "VertexA14", "VertexB15", "VertexC16",
+    }
+    assert {region for _, region in seen} == {region.value for region in Region}
+
+
+def test_fuzz_config_keeps_its_own_mix():
+    # Changing the caller's dict after validation changes no run.
+    mix = {"lambda0": 1.0}
+    config = FuzzConfig(n=128, seed=1, region_mix=mix)
+    mix["lambda0"] = -3.0
+    mix["mu1"] = 4.0
+    assert config.region_mix == {"lambda0": 1.0}
+    expected = fuzz_snapshot(fuzz(FuzzConfig(n=128, seed=1, region_mix={"lambda0": 1.0})))
+    assert fuzz_snapshot(fuzz(config)) == expected
+    assert fuzz_snapshot(fuzz(config, workers=2)) == expected
 
 
 def test_fuzz_near_degenerate_shape():
