@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericalError, VertexCoincidence
 from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, _check_far, dist
-from .regions import SIDE_ENDS
 
 
 class BisectorTriple(NamedTuple):
@@ -112,45 +111,32 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
     return _bisector(R_B, R_C, cross, dot)
 
 
-def side_bisector(F: PointFrame, k: int) -> float:
-    """Unsigned bisector from the frame's point toward side k; M must not be an endpoint."""
-    i, j = SIDE_ENDS[k]
-    return _bisector(F.R[i], F.R[j], F.cross[k], F.dot[k])
-
-
-def frame_bisectors(F: PointFrame) -> tuple[float, float, float]:
-    """Unsigned bisector lengths toward sides a, b, c of a non-vertex point, once per frame."""
-    lengths = F.bisectors
-    if lengths is None:
-        F.check_not_vertex()
-        (R_A, R_B, R_C), (k_a, k_b, k_c), (d_a, d_b, d_c) = F.R, F.cross, F.dot
-        F.bisectors = lengths = (
-            _bisector(R_B, R_C, k_a, d_a),
-            _bisector(R_C, R_A, k_b, d_b),
-            _bisector(R_A, R_B, k_c, d_c),
-        )
-    return lengths
-
-
-def frame_signed_bisectors(F: PointFrame) -> tuple[float, float, float]:
-    """Bisector lengths signed by the barycentric coordinates.
-
-    Coordinate and collinearity branch read the same cross product, so the
-    three cases (positive, negative, exactly on the line) agree by construction.
-    """
-    l_a, l_b, l_c = frame_bisectors(F)
+def _lengths(F: PointFrame) -> tuple[float, float, float]:
+    """Unsigned bisector lengths toward sides a, b, c of a non-vertex point."""
+    F.check_not_vertex()
+    (R_A, R_B, R_C), (k_a, k_b, k_c), (d_a, d_b, d_c) = F.R, F.cross, F.dot
     return (
-        -l_a if F.u < 0.0 else l_a,
-        -l_b if F.v < 0.0 else l_b,
-        -l_c if F.w < 0.0 else l_c,
+        _bisector(R_B, R_C, k_a, d_a),
+        _bisector(R_C, R_A, k_b, d_b),
+        _bisector(R_A, R_B, k_c, d_c),
     )
 
 
 def bisector_lengths(T: Triangle, M: Point2) -> BisectorTriple:
     """Unsigned bisector lengths from M toward all three sides."""
-    return BisectorTriple(*frame_bisectors(PointFrame(T, M)))
+    return BisectorTriple(*_lengths(PointFrame(T, M)))
 
 
 def signed_bisectors(T: Triangle, M: Point2) -> SignedBisectorTriple:
-    """Bisector lengths from M signed by the side of each sideline M lies on."""
-    return SignedBisectorTriple(*frame_signed_bisectors(PointFrame(T, M)))
+    """Bisector lengths from M signed by the side of each sideline M lies on.
+
+    Each takes the sign of its coordinate, which reads the same cross product
+    as its collinearity branch, so the two agree by construction.
+    """
+    F = PointFrame(T, M)
+    l_a, l_b, l_c = _lengths(F)
+    return SignedBisectorTriple(
+        -l_a if F.u < 0.0 else l_a,
+        -l_b if F.v < 0.0 else l_b,
+        -l_c if F.w < 0.0 else l_c,
+    )

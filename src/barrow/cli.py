@@ -32,7 +32,7 @@ from .harness import (
     grid_scan,
     tightness_search,
 )
-from .inequalities import DEFAULT_TOL_FACTOR, InequalityId, frame_report
+from .inequalities import DEFAULT_TOL_FACTOR, InequalityId, bound_report
 from .regions import DEFAULT_EPS, classify_frame
 from .svgmap import render_region_map
 
@@ -176,9 +176,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_eval(args) -> int:
     T = _triangle_from_args(args)
-    F = PointFrame(T, Point2(*parse_point(args.point)))
     which = _INEQUALITY_CHOICES[args.inequality]
-    report = frame_report(which, F, classify_frame(F, eps=args.eps), args.tol)
+    report = bound_report(which, T, Point2(*parse_point(args.point)), args.eps, args.tol)
     _print_json(report.to_json_dict())
     return 0
 

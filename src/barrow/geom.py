@@ -3,7 +3,9 @@
 Everything here is pure 64-bit float geometry.  Signs of barycentric
 coordinates carry the semantic payload for the rest of the library, so they
 are always derived from one source of truth: the cross product of two
-M-relative vertex vectors, computed once per point in a :class:`PointFrame`.
+M-relative vertex vectors, computed once per point, in a :class:`PointFrame`
+for the public point functions and in the same float operations by the
+point kernel of :mod:`barrow.inequalities`.
 """
 
 from __future__ import annotations
@@ -154,15 +156,13 @@ class PointFrame:
     (b·c, c·a, a·b); ``u, v, w`` the barycentric coordinates, the crosses
     over twice the area (so a frame reads like :class:`BaryCoords`);
     ``vertex`` the index of the nearest vertex if M lies within
-    ``COINCIDENCE_FACTOR`` of the diameter of it, else None; ``bisectors``
-    the unsigned bisectors toward sides a, b, c once
-    :func:`~barrow.bisectors.frame_bisectors` has computed them, else None.
-    Region, signed distances, bisectors and weights all derive from these,
+    ``COINCIDENCE_FACTOR`` of the diameter of it, else None.  Region,
+    signed distances and bisectors all derive from these,
     so every sign and exact zero comes from one cross product.  Raises
     DomainError when the squared distances from M to the vertices overflow.
     """
 
-    __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex", "bisectors")
+    __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex")
 
     def __init__(self, T: Triangle, M: Point2):
         mx, my = M
@@ -193,7 +193,6 @@ class PointFrame:
         nearest = R_B if R_B < R_A else R_A
         nearest = R_C if R_C < nearest else nearest
         self.vertex = R.index(nearest) if nearest <= COINCIDENCE_FACTOR * T.diameter else None
-        self.bisectors = None
 
     def check_not_vertex(self, allow: int | None = None) -> None:
         """Raise VertexCoincidence if M sits on a vertex other than ``allow``."""

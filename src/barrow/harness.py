@@ -12,14 +12,10 @@ fuzz chunk builds one table of its stratum thresholds.  One fold updates a
 fuzz cell: with each sample's reports in index order, and with each chunk's
 cells in chunk order.
 
-The fuzz reads every bound of a sample in one pass over the frame its
-sampler built, :func:`~barrow.inequalities.frame_slacks`.  The search and
-the scan read the one frameless point kernel,
-:func:`~barrow.inequalities.values_function`: the scan takes its rows, the
-search their slack through :func:`~barrow.inequalities.slack_function`.  It
-falls back to a frame only on a sideline, on a vertex or at overflowing
-distances.  None builds a report record; their numbers are the reports'
-numbers, bit for bit.
+The jobs read one point kernel and build no frame and no report: the scan
+its rows (:func:`~barrow.inequalities.values_function`), the search their
+slack, the fuzz every bound of a sample in one pass, and the samplers
+accept a draw by its label.  Their numbers are the reports', bit for bit.
 """
 
 from __future__ import annotations
@@ -32,17 +28,16 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, GeometryError
-from .geom import Point2, PointFrame, Triangle, side_coordinate
+from .geom import Point2, Triangle, side_coordinate
 from .inequalities import (
     DEFAULT_TOL_FACTOR,
     INTERIOR_IDS,
-    VERTEX_IDS,
     InequalityId,
-    frame_slacks,
     slack_function,
+    slacks_function,
     values_function,
 )
-from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region, classify_frame
+from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, Region
 
 #: Sampling strata, in the canonical order used to resolve mix proportions:
 #: the seven open regions, then the sidelines and the vertex neighbourhoods.
@@ -212,11 +207,10 @@ def sample_triangle(
     raise DomainError(f"unknown triangle shape {shape!r}")
 
 
-#: The plan of each open region's sampler, by label: the region, then the
-#: indices of its negative and of its positive barycentric coordinates.
+#: The plan of each open region's sampler, by label: the indices of its
+#: negative and of its positive barycentric coordinates.
 _REGION_PLANS = {
     region.value: (
-        region,
         tuple(i for i, s in enumerate(pattern) if s < 0),
         tuple(i for i, s in enumerate(pattern) if s > 0),
     )
@@ -226,14 +220,13 @@ _REGION_PLANS = {
 _BARY_MARGIN = 1e-3
 
 
-def _sample_region_point(
-    rng: random.Random, T: Triangle, plan: tuple[Region, tuple, tuple]
-) -> tuple[PointFrame, Region]:
-    region, negs, pos = plan
+def _sample_region_point(rng: random.Random, T: Triangle, label: str, point: Callable) -> tuple:
+    """The first draw ``point`` labels ``label``, or the last of ``_MAX_RESAMPLE`` draws."""
+    negs, pos = _REGION_PLANS[label]
     (ax, ay), (bx, by), (cx, cy) = T.A, T.B, T.C
     # ``rng.uniform`` draws written out, as in :func:`sample_triangle`.
     random, m = rng.random, _BARY_MARGIN
-    for _ in range(_MAX_RESAMPLE):
+    for attempt in range(_MAX_RESAMPLE - 1, -1, -1):
         vals = [0.0, 0.0, 0.0]
         if not negs:
             vals[0] = m + ((1.0 - 2.0 * m) - m) * random()
@@ -251,17 +244,15 @@ def _sample_region_point(
             vals[n2] = -(m + (2.0 - m) * random())
             vals[p] = 1.0 - vals[n1] - vals[n2]
         u, v, w = vals
-        F = PointFrame(T, Point2(u * ax + v * bx + w * cx, u * ay + v * by + w * cy))
-        got = classify_frame(F)
-        if got is region:
-            break
-    return F, got
+        M = Point2(u * ax + v * bx + w * cx, u * ay + v * by + w * cy)
+        got = point(*M, label if attempt else None)
+        if got is not None:
+            return M, got
 
 
-def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
+def _sample_sideline_point(rng: random.Random, T: Triangle) -> Point2:
     V = T.vertices
-    best = None
-    best_coord = math.inf
+    best, best_coord = None, math.inf
     # ``rng.uniform`` draws written out, as in :func:`sample_triangle`.
     randrange, random = rng.randrange, rng.random
     for _ in range(_MAX_RESAMPLE):
@@ -275,22 +266,22 @@ def _sample_sideline_point(rng: random.Random, T: Triangle) -> PointFrame:
         # The target coordinate is affine with value 1 at the opposite vertex
         # and 0 at P, so one correction step removes the construction error.
         co = side_coordinate(T, M, k)
-        F = PointFrame(T, Point2(M.x - co * (opp.x - P.x), M.y - co * (opp.y - P.y)))
-        co = abs((F.u, F.v, F.w)[k])
+        M = Point2(M.x - co * (opp.x - P.x), M.y - co * (opp.y - P.y))
+        co = abs(side_coordinate(T, M, k))
         if co < best_coord:
-            best, best_coord = F, co
+            best, best_coord = M, co
         if co <= DEFAULT_EPS:
-            return F
+            return M
     return best
 
 
-def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> PointFrame:
+def _sample_near_vertex_point(rng: random.Random, T: Triangle) -> Point2:
     # ``rng.uniform`` draws written out, as in :func:`sample_triangle`.
     random = rng.random
     V = T.vertices[rng.randrange(3)]
     r = T.diameter * 10.0 ** (-10.0 + (-6.0 - -10.0) * random())
     theta = 0.0 + (2.0 * math.pi - 0.0) * random()
-    return PointFrame(T, Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta)))
+    return Point2(V.x + r * math.cos(theta), V.y + r * math.sin(theta))
 
 
 def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
@@ -302,23 +293,23 @@ def sample_point(rng: random.Random, T: Triangle, target) -> Point2:
     within 1e-6 of the diameter of a vertex, exercising the weight blow-up
     without hitting the vertex itself.
     """
-    return _sample_frame(rng, T, target)[0].M
+    # Dergiades3 holds in the whole plane and labels a vertex point by its region.
+    return _sample(rng, T, target, values_function(T, InequalityId.DERGIADES3))[0]
 
 
-def _sample_frame(rng: random.Random, T: Triangle, target) -> tuple[PointFrame, Region]:
-    """The frame its sampler built for the point :func:`sample_point` draws, and its region."""
+def _sample(rng: random.Random, T: Triangle, target, point: Callable) -> tuple:
+    """The point :func:`sample_point` draws, and what the point kernel ``point`` returns there."""
     if isinstance(target, Region):
         target = target._value_
-    plan = _REGION_PLANS.get(target)
-    if plan is not None:
-        return _sample_region_point(rng, T, plan)
+    if target in _REGION_PLANS:
+        return _sample_region_point(rng, T, target, point)
     if target == "sideline":
-        F = _sample_sideline_point(rng, T)
+        M = _sample_sideline_point(rng, T)
     elif target == "near-vertex":
-        F = _sample_near_vertex_point(rng, T)
+        M = _sample_near_vertex_point(rng, T)
     else:
         raise DomainError(f"unknown sampling target {target!r}")
-    return F, classify_frame(F)
+    return M, point(*M)
 
 
 def _stratum_table(mix: dict) -> list[tuple[float, str]]:
@@ -389,13 +380,13 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig,
     if config.triangle_shape == "near-degenerate" and stratum == "sideline":
         band = SIDELINE_HEIGHT_BAND
     T = sample_triangle(rng, config.triangle_shape, height_band=band)
-    F, region = _sample_frame(rng, T, stratum)
-    tol = config.tol_factor * F.R_sum
+    M, (R_sum, slacks) = _sample(rng, T, stratum, slacks_function(T))
+    tol = config.tol_factor * R_sum
 
     def where():
-        return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [F.M.x, F.M.y]
+        return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [M.x, M.y]
 
-    for inequality, label, slack in frame_slacks(F, region):
+    for inequality, label, slack in slacks:
         violated = slack < -tol
         _fold_cell(cells, f"{inequality}/{label}", 1, violated, slack, index, where)
         if violated:
@@ -580,13 +571,7 @@ def tightness_search(
     Raises DomainError when ``inequality`` is not an :class:`InequalityId`
     or is a vertex bound, or when ``starts`` or ``seed`` is not an int.
     """
-    # A bound's value, such as "Barrow1", would end in a KeyError from BOUNDS.
-    if not isinstance(inequality, InequalityId):
-        raise DomainError(f"inequality must be an InequalityId, got {inequality!r}")
-    if inequality in VERTEX_IDS:
-        raise DomainError(
-            f"{inequality.value} is defined only at a single vertex; there is no domain to search"
-        )
+    objective = slack_function(T, inequality)
     # A float or a bool start count is refused as FuzzConfig refuses one for n.
     if not isinstance(starts, int) or isinstance(starts, bool):
         raise DomainError(f"starts must be an int, got {starts!r}")
@@ -595,7 +580,6 @@ def tightness_search(
     # None would seed from os.urandom, so equal calls would differ.
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise DomainError(f"seed must be an int, got {seed!r}")
-    objective = slack_function(T, inequality)
     rng = random.Random(seed)
     cycle = (Region.LAMBDA0,) if inequality in INTERIOR_IDS else tuple(OPEN_PATTERNS)
     best_pt = None
@@ -649,10 +633,9 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     """Classify and evaluate the weighted bound at every cell center.
 
     Each row is the row of :func:`~barrow.inequalities.values_function` for
-    SIGNED_BARROW30 at its cell center: the values ``frame_report`` reports
+    SIGNED_BARROW30 at its cell center: the values ``evaluate`` reports
     there, bit for bit.  Vertex-coincident cells report the reduced vertex
-    bound, with the two undefined bisector columns as NaN.  Only snapped,
-    vertex and overflowing cells build a frame.  Raises
+    bound, with the two undefined bisector columns as NaN.  Raises
     DomainError when ``resolution`` is not an int of at least 2, when the
     box is empty, or when its cells are too wide for floats.
     """

@@ -1,22 +1,20 @@
 """Slack evaluators for the distance/bisector inequalities.
 
-Every named bound is an entry of one table, :data:`BOUNDS`, that maps its
-identifier to its domain and to its evaluator on a
-:class:`~barrow.geom.PointFrame`.  An evaluator returns a ``_Bound``: the
-bound, the region, the lhs and the (side, weight, value) parts of the rhs,
-each side its index 0, 1 or 2.  :func:`frame_values` applies the domain and
-sums the rhs.  The fuzz reads every bound of a sample at once from
-:func:`frame_slacks`, one pass over its frame that keeps the slack bits
-:func:`frame_values` gives.  The search and the scan
-(:func:`~barrow.harness.grid_scan`) read one frameless point kernel,
-:func:`values_function`, the search through its slack adapter
-:func:`slack_function`; it builds no frame off the sidelines and the
-vertices, and keeps the bits :func:`frame_values` gives.  None of the three
-builds a record.  Only :func:`frame_report` builds an
-:class:`InequalityReport`: the slack ``lhs - rhs`` (non-negative for all
-valid inputs, up to floating-point tolerance; that non-negativity is the
-property the rest of the repository tests), ``tight`` and one :class:`Term`
-per rhs part, which names its side ``a``, ``b`` or ``c``.
+Every named bound is an entry of one table, :data:`BOUNDS`: whether it is
+interior-only, whether its terms are signed sideline distances or signed
+bisectors, and its weights.  One point kernel, :func:`values_function`,
+evaluates them all from a point's M-relative vertex vectors and their
+crosses, without a :class:`~barrow.geom.PointFrame`; each bound's terms,
+weights, rhs sum, domain and vertex routing are written there once, with
+the rare branches (a snapped sign pattern, a vertex, overflowing
+distances).  The scan reads its rows, the search their slack through
+:func:`slack_function`, and the fuzz every bound of a sample in one pass
+through :func:`slacks_function`.  Only :func:`bound_report` builds an
+:class:`InequalityReport`, from one kernel row: the slack ``lhs - rhs``
+(non-negative for all valid inputs, up to floating-point tolerance; that
+non-negativity is the property the rest of the repository tests),
+``tight`` and one :class:`Term` per rhs part, naming its side ``a``, ``b``
+or ``c``.
 
 The central public evaluator is :func:`evaluate`, which dispatches on the
 region of the query point: the weighted bisector bound in the interior, its
@@ -28,14 +26,31 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .bisectors import _bisector, frame_bisectors, frame_signed_bisectors, side_bisector
+from .bisectors import _bisector
 from .errors import DomainError, GeometryError, OutsideInterior, VertexCoincidence
-from .geom import COINCIDENCE_FACTOR, DistanceTriple, Point2, PointFrame, Triangle, _keep_sign
-from .regions import DEFAULT_EPS, OPEN_PATTERNS, SIDE_ENDS, VERTEX_REGIONS, Region, classify_frame
+from .geom import (
+    COINCIDENCE_FACTOR,
+    BaryCoords,
+    DistanceTriple,
+    Point2,
+    PointFrame,
+    Triangle,
+    _check_far,
+    _keep_sign,
+)
+from .regions import (
+    DEFAULT_EPS,
+    OPEN_PATTERNS,
+    SIDE_ENDS,
+    VERTEX_REGIONS,
+    Region,
+    classify_frame,
+    classify_pattern,
+    sign_pattern,
+)
 
-#: |slack| below this fraction of (R_A+R_B+R_C) is reported as an equality case.
 DEFAULT_TOL_FACTOR = 1e-9
 
 
@@ -202,260 +217,199 @@ def lu_weights(R: DistanceTriple) -> WeightTriple:
     return WeightTriple(*[_weight(R[i], R[j]) for i, j in SIDE_ENDS])
 
 
-_SIDES = (0, 1, 2)
 _TWO = (2.0, 2.0, 2.0)
 _VERTEX_BOUNDS = (InequalityId.VERTEX_A14, InequalityId.VERTEX_B15, InequalityId.VERTEX_C16)
-
-# The members every evaluation reads, bound once: on Python 3.10 and 3.11
-# reading an enum member off its class runs Python code.
-_LAMBDA0 = Region.LAMBDA0
-_BARROW1 = InequalityId.BARROW1
-_ERDOS_MORDELL2 = InequalityId.ERDOS_MORDELL2
-_DERGIADES3 = InequalityId.DERGIADES3
-_LU_WEIGHTED13 = InequalityId.LU_WEIGHTED13
-_SIGNED_BARROW30 = InequalityId.SIGNED_BARROW30
-#: The label of each open region, by its snapped sign pattern.
+# Labels bound once: on Python 3.10 and 3.11 reading an enum member's value runs Python code.
+_LAMBDA0 = Region.LAMBDA0.value
+_VERTEX_LABELS = tuple(region.value for region in VERTEX_REGIONS)
 _LABEL_BY_PATTERN = {pattern: region.value for region, pattern in OPEN_PATTERNS.items()}
 
-#: What an evaluator says its bound is at a point: the bound, the region it
-#: reports, the lhs, and the (side index, weight, value) of each rhs term.
-_Bound = tuple[InequalityId, Region, float, Iterable[tuple[int, float, float]]]
+#: How a bound weighs its terms: 2 on every side, the triangle's side-ratio
+#: weights, or the t + 1/t weight of the two vertex distances off each side.
+_TWO_WEIGHTS, _SIDE_WEIGHTS, _DISTANCE_WEIGHTS = "two", "sides", "distances"
 
-#: A bound's entry in :data:`BOUNDS`: whether it is interior-only, and its evaluator.
-_Entry = tuple[bool, Callable[[PointFrame, Region], _Bound]]
-
-#: What :func:`frame_values` returns: an evaluator's bound, region and lhs,
-#: then the rhs and the (side, weight, value) parts it sums.
-_Values = tuple[InequalityId, Region, float, float, tuple[tuple[int, float, float], ...]]
-
-
-def _barrow(F: PointFrame, region: Region) -> _Bound:
-    return _BARROW1, region, F.R_sum, zip(_SIDES, _TWO, frame_bisectors(F))
-
-
-def _erdos_mordell(F: PointFrame, region: Region) -> _Bound:
-    return _ERDOS_MORDELL2, region, F.R_sum, zip(_SIDES, _TWO, F.signed_distances())
-
-
-def _dergiades(F: PointFrame, region: Region) -> _Bound:
-    weights = F.T.ratio_weights
-    return _DERGIADES3, region, F.R_sum, zip(_SIDES, weights, F.signed_distances())
-
-
-def _weighted(F: PointFrame, region: Region) -> _Bound:
-    """The weighted bound with signed bisectors at a non-vertex point.
-
-    One arithmetic path for both regimes, so the interior report is
-    bit-identical to what the signed formula yields there.
-    """
-    R_A, R_B, R_C = F.R
-    lp_a, lp_b, lp_c = frame_signed_bisectors(F)
-    terms = (
-        (0, _weight(R_B, R_C), lp_a),
-        (1, _weight(R_C, R_A), lp_b),
-        (2, _weight(R_A, R_B), lp_c),
-    )
-    inequality = _LU_WEIGHTED13 if region is _LAMBDA0 else _SIGNED_BARROW30
-    return inequality, region, F.R_sum, terms
-
-
-def _vertex_report(F: PointFrame, k: int) -> _Bound:
-    """Two-distance bound at (or numerically on top of) vertex k.
-
-    Only the bisector toward the side opposite the coincident vertex stays
-    well-defined, so the report has a single right-hand-side term.
-    """
-    F.check_not_vertex(allow=k)
-    i, j = SIDE_ENDS[k]
-    R_i, R_j = F.R[i], F.R[j]
-    term = (k, _weight(R_i, R_j), side_bisector(F, k))
-    return _VERTEX_BOUNDS[k], VERTEX_REGIONS[k], R_i + R_j, (term,)
-
-
-def _signed_barrow(F: PointFrame, region: Region) -> _Bound:
-    if region in VERTEX_REGIONS:
-        return _vertex_report(F, VERTEX_REGIONS.index(region))
-    if F.vertex is not None:
-        # Numerically on a vertex even though the sign pattern says otherwise
-        # (possible for thin triangles); the weights are unusable there.
-        return _vertex_report(F, F.vertex)
-    return _weighted(F, region)
-
-
-#: Every bound that can be requested by name: whether it is interior-only,
-#: and its evaluator ``(frame, region) -> _Bound``.  The vertex bounds are
-#: absent: each holds at one point, where the signed bound routes.
-BOUNDS: dict[InequalityId, _Entry] = {
-    InequalityId.BARROW1: (True, _barrow),
-    InequalityId.ERDOS_MORDELL2: (True, _erdos_mordell),
-    InequalityId.DERGIADES3: (False, _dergiades),
-    InequalityId.LU_WEIGHTED13: (True, _weighted),
-    InequalityId.SIGNED_BARROW30: (False, _signed_barrow),
+#: Every bound that can be requested by name, as the point kernel evaluates
+#: it: whether it is interior-only, whether its terms are the signed
+#: sideline distances (else the signed bisectors), and its weights.  The
+#: whole-plane bound with distance weights, the signed one, reports a point
+#: on a vertex with that vertex's bound; the vertex bounds hold at one point
+#: each and have no entry.
+BOUNDS: dict[InequalityId, tuple[bool, bool, str]] = {
+    InequalityId.BARROW1: (True, False, _TWO_WEIGHTS),
+    InequalityId.ERDOS_MORDELL2: (True, True, _TWO_WEIGHTS),
+    InequalityId.DERGIADES3: (False, True, _SIDE_WEIGHTS),
+    InequalityId.LU_WEIGHTED13: (True, False, _DISTANCE_WEIGHTS),
+    InequalityId.SIGNED_BARROW30: (False, False, _DISTANCE_WEIGHTS),
 }
 
 #: Inequalities restricted to the open interior.
-INTERIOR_IDS = frozenset(i for i, (interior_only, _) in BOUNDS.items() if interior_only)
+INTERIOR_IDS = frozenset(i for i, (interior_only, _, _) in BOUNDS.items() if interior_only)
 
 #: Inequalities defined only pointwise at a vertex (no 2-D domain to search).
 VERTEX_IDS = frozenset(InequalityId).difference(BOUNDS)
 
+#: The (label, distance terms, weights) of the bounds the fuzz reads off a
+#: vertex, in its order: outside the interior, then inside it.
+_SIGNED_RULE = BOUNDS[InequalityId.SIGNED_BARROW30]
+_FUZZ_OPEN, _FUZZ_INTERIOR = (tuple((bound.value, *BOUNDS[bound][1:]) for bound in bounds) for bounds in (
+    (InequalityId.SIGNED_BARROW30, InequalityId.DERGIADES3),
+    (InequalityId.LU_WEIGHTED13, InequalityId.DERGIADES3, InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2),
+))
 
-def frame_values(bound: _Entry, F: PointFrame, region: Region) -> _Values | None:
-    """Values of ``bound``, an entry of :data:`BOUNDS`, at the frame's point in ``region``.
 
-    None when the bound is interior-only and ``region`` is not the open
-    interior; VertexCoincidence when it is interior-only and the point is on
-    a vertex.  The rhs is summed left to right from 0.0.  The jobs read these
-    values directly; :func:`frame_report` builds the records from them.
+def _rule(inequality: InequalityId) -> tuple[bool, bool, str]:
+    """The :data:`BOUNDS` entry of ``inequality``; DomainError for any other value."""
+    # A bound's value, such as "Barrow1", would end in a KeyError from BOUNDS.
+    if not isinstance(inequality, InequalityId):
+        raise DomainError(f"inequality must be an InequalityId, got {inequality!r}")
+    if inequality in VERTEX_IDS:
+        raise DomainError(f"{inequality.value} holds only at its vertex, where "
+                          f"{InequalityId.SIGNED_BARROW30.value} reports it")
+    return BOUNDS[inequality]
+
+
+def _weights(kind: str, T: Triangle, R_A: float, R_B: float, R_C: float) -> tuple:
+    """The weights of sides a, b, c of a bound that weighs its terms by ``kind``."""
+    if kind is _DISTANCE_WEIGHTS:
+        return _weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B)
+    return T.ratio_weights if kind is _SIDE_WEIGHTS else _TWO
+
+
+def _coincidence(x: float, y: float, k: int) -> VertexCoincidence:
+    return VertexCoincidence(f"point {Point2(x, y)} coincides with vertex {'ABC'[k]}", vertex="ABC"[k])
+
+
+def _vertex_row(x: float, y: float, k: int, vertex: int | None, R: tuple, vectors: tuple,
+                cross: float) -> tuple:
+    """Vertex k's bound, R_i + R_j against the bisector toward side k, from M's vertex vectors.
+
+    Raises VertexCoincidence when M lies on another vertex, ``vertex``.
     """
-    interior_only, evaluator = bound
-    if interior_only:
-        if region is not _LAMBDA0:
-            return None
-        F.check_not_vertex()
-    inequality, region, lhs, parts = evaluator(F, region)
-    parts = tuple(parts)
-    rhs = 0.0
-    for _, w, x in parts:
-        rhs += w * x
-    return inequality, region, lhs, rhs, parts
+    if vertex is not None and vertex != k:
+        raise _coincidence(x, y, vertex)
+    i, j = SIDE_ENDS[k]
+    (px, py), (qx, qy) = vectors[i], vectors[j]
+    R_i, R_j = R[i], R[j]
+    weight, value = _weight(R_i, R_j), _bisector(R_i, R_j, cross, px * qx + py * qy)
+    t = [value if side == k else math.nan for side in range(3)]
+    lhs = R_i + R_j
+    rhs = 0.0 + weight * value
+    return (x, y, _VERTEX_LABELS[k], *R, *t, lhs, rhs, lhs - rhs)
 
 
-#: The entries and labels :func:`frame_slacks` reads, looked up once: hashing
-#: an ``InequalityId`` runs Python code on every lookup.
-_SIGNED_ENTRY, _DERGIADES_ENTRY = BOUNDS[_SIGNED_BARROW30], BOUNDS[_DERGIADES3]
-_SIGNED_LABEL, _LU_LABEL, _DERGIADES_LABEL, _BARROW_LABEL, _ERDOS_MORDELL_LABEL = (
-    _SIGNED_BARROW30.value, _LU_WEIGHTED13.value, _DERGIADES3.value, _BARROW1.value,
-    _ERDOS_MORDELL2.value,
-)
+def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool = False):
+    """``point(x, y, want=None)`` for ``rule``, a :data:`BOUNDS` entry, on T at ``eps``.
 
-
-def frame_slacks(F: PointFrame, region: Region) -> tuple[tuple[str, str, float], ...]:
-    """The (bound label, region label, slack) of each bound the fuzz reads at the frame's point.
-
-    In order: the signed bound (``LuWeighted13`` in the interior), then
-    ``Dergiades3``, then ``Barrow1`` and ``ErdosMordell2`` in the interior.
-    Each slack has the bits of :func:`frame_values`.  Off the vertices one
-    pass reads the signed bisectors, the signed distances and the weights
-    once and sums each rhs from 0.0 in side order, as :func:`frame_values`
-    sums; in the interior the signed bisectors are the unsigned ones.  A
-    vertex region, or a point on a vertex, goes through :func:`frame_values`,
-    where the vertex routing and the interior-only domain are written.
+    None when ``want`` is another region label; else the row of
+    :func:`values_function`, or with ``every`` that of :func:`slacks_function`.
     """
-    if F.vertex is not None or region in VERTEX_REGIONS:
-        return tuple(
-            (inequality._value_, got._value_, lhs - rhs)
-            for inequality, got, lhs, rhs, _ in (
-                frame_values(_SIGNED_ENTRY, F, region), frame_values(_DERGIADES_ENTRY, F, region)
-            )
-        )
-    lp_a, lp_b, lp_c = frame_signed_bisectors(F)
-    d_a, d_b, d_c = F.signed_distances()
-    r_a, r_b, r_c = F.T.ratio_weights
-    R_A, R_B, R_C = F.R
-    lhs = F.R_sum
-    label = region._value_
-    w_a, w_b, w_c = _weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B)
-    signed = lhs - (0.0 + w_a * lp_a + w_b * lp_b + w_c * lp_c)
-    dergiades = (_DERGIADES_LABEL, label, lhs - (0.0 + r_a * d_a + r_b * d_b + r_c * d_c))
-    if region is not _LAMBDA0:
-        return (_SIGNED_LABEL, label, signed), dergiades
-    return (
-        (_LU_LABEL, label, signed),
-        dergiades,
-        (_BARROW_LABEL, label, lhs - (0.0 + 2.0 * lp_a + 2.0 * lp_b + 2.0 * lp_c)),
-        (_ERDOS_MORDELL_LABEL, label, lhs - (0.0 + 2.0 * d_a + 2.0 * d_b + 2.0 * d_c)),
+    interior_only, distances, kind = rule
+    # One tuple, not a cell per name, as the fuzz binds a triangle per sample; eps clamps at 0.
+    consts = (
+        *T.A, *T.B, *T.C, T.area, T.orient_sign, COINCIDENCE_FACTOR * T.diameter, T.a, T.b, T.c,
+        T.orient_sign * 2.0, eps if eps > 0.0 else 0.0, math.hypot, interior_only, distances, kind,
+        None if kind is _DISTANCE_WEIGHTS or every else _weights(kind, T, 0.0, 0.0, 0.0), every,
+        ((None, distances, kind),),
     )
 
-
-def values_function(
-    T: Triangle, inequality: InequalityId
-) -> Callable[[float, float], tuple | None]:
-    """The values ``bound_report(inequality, T, Point2(x, y))`` reports, as a function of (x, y).
-
-    The closure returns ``(x, y, region label, R_A, R_B, R_C, t_a, t_b, t_c,
-    lhs, rhs, slack)``, in :class:`~barrow.harness.ScanRow` order, where each
-    ``t`` is the bound's term value on that side, NaN for a side without one.
-    It returns None off an interior-only bound's domain, and otherwise raises
-    what that call raises.  The one frameless kernel of the search and the
-    scan: a point off the sidelines and the vertices, with squared distances
-    that do not overflow, is evaluated from its crosses, with the float
-    operations of :class:`PointFrame` and of the bound's evaluator in their
-    order, so every value keeps its bits.  Any other point goes through the
-    frame and :func:`frame_values`, where each rare branch is written once.
-    """
-    bound = BOUNDS[inequality]
-    interior_only = bound[0]
-    (Ax, Ay), (Bx, By), (Cx, Cy) = T.A, T.B, T.C
-    area, s, near = T.area, T.orient_sign, COINCIDENCE_FACTOR * T.diameter
-    # The two distance bounds sum signed distances, the others bisectors;
-    # the two weighted bounds weigh each term by its point's distances.
-    distances = inequality is _ERDOS_MORDELL2 or inequality is _DERGIADES3
-    weighted = inequality is _LU_WEIGHTED13 or inequality is _SIGNED_BARROW30
-    fixed = T.ratio_weights if inequality is _DERGIADES3 else _TWO
-    a, b, c, s2, eps, inf, nan = T.a, T.b, T.c, s * 2.0, DEFAULT_EPS, math.inf, math.nan
-    lambda0, hypot = _LAMBDA0.value, math.hypot
-
-    def frame_row(x: float, y: float) -> tuple | None:
-        F = PointFrame(T, Point2(x, y))
-        values = frame_values(bound, F, classify_frame(F))
-        if values is None:
-            return None
-        _, region, lhs, rhs, parts = values
-        t = [nan, nan, nan]
-        for side, _, value in parts:
-            t[side] = value
-        return (x, y, region.value, *F.R, *t, lhs, rhs, lhs - rhs)
-
-    def row(x: float, y: float) -> tuple | None:
+    def point(x: float, y: float, want: str | None = None):
+        (Ax, Ay, Bx, By, Cx, Cy, area, s, near, a, b, c, s2, snap, hypot,
+         interior_only, distances, kind, fixed, every, own) = consts
         ax, ay = Ax - x, Ay - y
         bx, by = Bx - x, By - y
         cx, cy = Cx - x, Cy - y
         k_a, k_b, k_c = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
-        # PointFrame's ``_keep_sign`` only moves a zero ratio to +-5e-324,
-        # which snaps to 0 at eps as zero does.
         u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
+        if not (u and v and w):
+            # A ratio that underflowed to zero keeps the sign of its cross.
+            u, v, w = _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
         if interior_only:
-            if not (u > eps and v > eps and w > eps):
+            if not (u > snap and v > snap and w > snap):
                 return None
-            label = lambda0
+            label = _LAMBDA0
         else:
             label = _LABEL_BY_PATTERN.get((
-                1 if u > eps else -1 if u < -eps else 0,
-                1 if v > eps else -1 if v < -eps else 0,
-                1 if w > eps else -1 if w < -eps else 0,
+                1 if u > snap else -1 if u < -snap else 0,
+                1 if v > snap else -1 if v < -snap else 0,
+                1 if w > snap else -1 if w < -snap else 0,
             ))
-            if label is None:
-                return frame_row(x, y)
         R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
         far = R_B if R_B > R_A else R_A
         far = R_C if R_C > far else far
         nearest = R_B if R_B < R_A else R_A
         nearest = R_C if R_C < nearest else nearest
-        if 2.0 * far * far == inf or nearest <= near:
-            return frame_row(x, y)
-        if distances:
-            t_a, t_b, t_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
-            if not (t_a and t_b and t_c):
-                t_a, t_b, t_c = map(_keep_sign, (t_a, t_b, t_c), (k_a, k_b, k_c), (s, s, s))
-        else:
-            # Barrow1 reads unsigned lengths; on its domain, the interior, no sign flips.
+        if 2.0 * far * far == math.inf:
+            _check_far(Point2(x, y), (R_A, R_B, R_C))
+        snapped = label is None
+        if snapped:
+            Point2(x, y)  # a non-finite coordinate raises ValueError here
+            label = classify_pattern(sign_pattern(BaryCoords(u, v, w), eps))._value_
+        if want is not None and label != want:
+            return None
+        lhs = R_A + R_B + R_C
+        if nearest <= near or snapped and label in _VERTEX_LABELS:
+            vertex = (R_A, R_B, R_C).index(nearest) if nearest <= near else None
+            if interior_only:
+                raise _coincidence(x, y, vertex)
+            if kind is _DISTANCE_WEIGHTS:  # the signed bound
+                k = _VERTEX_LABELS.index(label) if label in _VERTEX_LABELS else vertex
+                row = _vertex_row(x, y, k, vertex, (R_A, R_B, R_C),
+                                  ((ax, ay), (bx, by), (cx, cy)), (k_a, k_b, k_c)[k])
+                if not every:
+                    return row
+                # Dergiades3 evaluates a vertex as any other point.
+                dergiades = _kernel(T, BOUNDS[InequalityId.DERGIADES3], eps)(x, y)
+                return lhs, [(_VERTEX_BOUNDS[k].value, row[2], row[11]),
+                             (InequalityId.DERGIADES3.value, dergiades[2], dergiades[11])]
+        if every or not distances:
             l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
             l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
             l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
-            t_a = -l_a if u < 0.0 else l_a
-            t_b = -l_b if v < 0.0 else l_b
-            t_c = -l_c if w < 0.0 else l_c
-        if weighted:
-            w_a, w_b, w_c = _weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B)
-        else:
-            w_a, w_b, w_c = fixed
-        lhs = R_A + R_B + R_C
-        # Summed from 0.0 in side order, as frame_values sums.
-        rhs = 0.0 + w_a * t_a + w_b * t_b + w_c * t_c
-        return x, y, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, lhs - rhs
+            lp = (-l_a if u < 0.0 else l_a, -l_b if v < 0.0 else l_b, -l_c if w < 0.0 else l_c)
+        if every or distances:
+            d_a, d_b, d_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
+            if not (d_a and d_b and d_c):
+                d_a, d_b, d_c = _keep_sign(d_a, k_a, s), _keep_sign(d_b, k_b, s), _keep_sign(d_c, k_c, s)
+            d = (d_a, d_b, d_c)
+        # The bound's rhs, or every bound's the fuzz reads, summed from 0.0 in side order.
+        slacks = []
+        for name, dist, weights in (_FUZZ_INTERIOR if label == _LAMBDA0 else _FUZZ_OPEN) if every else own:
+            t_a, t_b, t_c = d if dist else lp
+            w_a, w_b, w_c = fixed or _weights(weights, T, R_A, R_B, R_C)
+            rhs = 0.0 + w_a * t_a + w_b * t_b + w_c * t_c
+            if not every:
+                return x, y, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, lhs - rhs
+            slacks.append((name, label, lhs - rhs))
+        return lhs, slacks
 
-    return row
+    return point
+
+
+def values_function(
+    T: Triangle, inequality: InequalityId, eps: float = DEFAULT_EPS
+) -> Callable[[float, float], tuple | None]:
+    """The values ``bound_report(inequality, T, Point2(x, y), eps)`` reports, as a function of (x, y).
+
+    The one point kernel: ``(x, y, region label, R_A, R_B, R_C, t_a, t_b,
+    t_c, lhs, rhs, slack)`` in ``ScanRow`` order, ``t`` NaN on a side without
+    a term, or None off an interior-only bound's domain; it raises what that
+    call raises.  It reads the vertex vectors, their crosses and three
+    ``hypot`` in :class:`PointFrame`'s float operations; a snapped pattern
+    takes ``classify_pattern``'s label, and a vertex label or a point within
+    ``COINCIDENCE_FACTOR`` of the diameter of a vertex that vertex's bound.
+    """
+    return _kernel(T, _rule(inequality), eps)
+
+
+def slacks_function(T: Triangle) -> Callable:
+    """The fuzz's kernel on T: ``point(x, y, want=None)`` reads every bound of a sample in one pass.
+
+    It returns ``(R_A + R_B + R_C, [(bound label, region label, slack),
+    ...])``: the signed bound (``LuWeighted13`` inside, a vertex bound on a
+    vertex), ``Dergiades3``, then inside ``Barrow1`` and ``ErdosMordell2``;
+    None when ``want`` is another region label.
+    """
+    return _kernel(T, _SIGNED_RULE, DEFAULT_EPS, True)
 
 
 def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
@@ -477,30 +431,36 @@ def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
     return slack
 
 
-def frame_report(
-    inequality: InequalityId, F: PointFrame, region: Region, tol_factor: float = DEFAULT_TOL_FACTOR
+def bound_report(
+    inequality: InequalityId, T: Triangle, M: Point2, eps: float = DEFAULT_EPS,
+    tol_factor: float = DEFAULT_TOL_FACTOR,
 ) -> InequalityReport:
-    """Report of one bound of :data:`BOUNDS` at the frame's point, which lies in ``region``.
+    """Report of one bound of :data:`BOUNDS` at M, classified at ``eps``, from one kernel row.
 
-    The values are those of :func:`frame_values`; the report adds the
-    ``Term`` records and is ``tight`` when |slack| <= ``tol_factor`` *
+    It names the bound that holds there (``LuWeighted13`` for the signed bound
+    inside, a vertex bound on a vertex), adds a ``Term`` per rhs part with the
+    bound's weights, and is ``tight`` when |slack| <= ``tol_factor`` *
     (R_A + R_B + R_C).  An interior-only bound raises OutsideInterior off the
     open interior and VertexCoincidence on a vertex.
     """
-    values = frame_values(BOUNDS[inequality], F, region)
-    if values is None:
-        raise OutsideInterior(f"point {F.M} classifies as {region.value}, not the interior")
-    inequality, region, lhs, rhs, parts = values
-    slack = lhs - rhs
-    tight = abs(slack) <= tol_factor * F.R_sum
-    terms = tuple(Term("abc"[side], w, x, w * x) for side, w, x in parts)
-    return InequalityReport(inequality, region, lhs, rhs, slack, tight, terms)
-
-
-def bound_report(inequality: InequalityId, T: Triangle, M: Point2) -> InequalityReport:
-    """Report of one bound of :data:`BOUNDS` at M, at the default eps and tol_factor."""
-    F = PointFrame(T, M)
-    return frame_report(inequality, F, classify_frame(F))
+    rule = _rule(inequality)
+    row = _kernel(T, rule, eps)(*M)
+    if row is None:
+        region = classify_frame(PointFrame(T, M), eps)
+        raise OutsideInterior(f"point {M} classifies as {region.value}, not the interior")
+    _, _, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, slack = row
+    R, t, weighted = (R_A, R_B, R_C), (t_a, t_b, t_c), rule[2] is _DISTANCE_WEIGHTS
+    if weighted and label in _VERTEX_LABELS:
+        k = _VERTEX_LABELS.index(label)
+        i, j = SIDE_ENDS[k]
+        inequality, parts = _VERTEX_BOUNDS[k], [(k, _weight(R[i], R[j]))]
+    else:
+        if weighted and label == _LAMBDA0:
+            inequality = InequalityId.LU_WEIGHTED13
+        parts = enumerate(_weights(rule[2], T, *R))
+    terms = tuple(Term("abc"[k], w, t[k], w * t[k]) for k, w in parts)
+    tight = abs(slack) <= tol_factor * (R_A + R_B + R_C)
+    return InequalityReport(inequality, Region(label), lhs, rhs, slack, tight, terms)
 
 
 def dergiades_report(T: Triangle, M: Point2) -> InequalityReport:
@@ -522,11 +482,9 @@ def classic_reports(T: Triangle, M: Point2) -> tuple[InequalityReport, Inequalit
     Restricted to the open interior, where both right-hand sides are sums of
     positive terms.
     """
-    F = PointFrame(T, M)
-    region = classify_frame(F)
     return (
-        frame_report(InequalityId.BARROW1, F, region),
-        frame_report(InequalityId.ERDOS_MORDELL2, F, region),
+        bound_report(InequalityId.BARROW1, T, M),
+        bound_report(InequalityId.ERDOS_MORDELL2, T, M),
     )
 
 

@@ -143,6 +143,62 @@ def test_eval_output_is_byte_stable(capsys, point, inequality):
     assert (code, out, err) == (0, EVAL_STDOUT[point, inequality] + "\n", "")
 
 
+#: Exit code, stdout and stderr of `eval` on the unit right triangle where
+#: it takes a rare branch: a vertex label at a wide eps (the signed bound
+#: routes to the vertex bound, an interior-only bound refuses it, Dergiades
+#: keeps its three terms), a point on side AB and one on its extension, a
+#: tolerance that flags a report tight, and a point an eps snaps onto a
+#: sideline.  The CI job cli-smoke checks the same commands' digests.
+EVAL_RARE_BRANCHES = {
+    ("--point=0.9,0.05", "--eps", "0.4", "--inequality", "signed-barrow"): (0, (
+        '{"inequality":"VertexB15","region":"vertexB","lhs":2.2100130516962375,'
+        '"rhs":1.9708266510953512,"slack":0.23918640060088636,"tight":false,"terms":['
+        '{"side":"b","weight":2.034845082910971,"value":0.968538916130147,'
+        '"contribution":1.9708266510953512}]}\n'), ""),
+    ("--point=0.9,0.05", "--eps", "0.4", "--inequality", "lu"): (3, "", (
+        "error: point Point2(x=0.9, y=0.05) classifies as vertexB, not the interior\n")),
+    ("--point=0.9,0.05", "--eps", "0.4", "--inequality", "dergiades"): (0, (
+        '{"inequality":"Dergiades3","region":"vertexB","lhs":2.321816450571227,'
+        '"rhs":2.0859650045003155,"slack":0.23585144607091157,"tight":false,"terms":['
+        '{"side":"a","weight":2,"value":0.03535533905932735,"contribution":0.0707106781186547},'
+        '{"side":"b","weight":2.121320343559643,"value":0.9,"contribution":1.9091883092036785},'
+        '{"side":"c","weight":2.121320343559643,"value":0.05,"contribution":0.10606601717798214}]}\n'
+    ), ""),
+    ("--point=0.5,0", "--inequality", "signed-barrow"): (0, (
+        '{"inequality":"SignedBarrow30","region":"mu3","lhs":2.118033988749895,'
+        '"rhs":2.0581710272714924,"slack":0.05986296147840253,"tight":false,"terms":['
+        '{"side":"a","weight":2.1640890861976425,"value":0.3632712640026804,'
+        '"contribution":0.7861513777574232},'
+        '{"side":"b","weight":2.1640890861976425,"value":0.5877852522924731,'
+        '"contribution":1.272019649514069},'
+        '{"side":"c","weight":2,"value":0,"contribution":0}]}\n'), ""),
+    ("--point=2,0", "--inequality", "signed-barrow"): (0, (
+        '{"inequality":"SignedBarrow30","region":"mu1","lhs":5.23606797749979,'
+        '"rhs":4.034075798838467,"slack":1.2019921786613228,"tight":false,"terms":['
+        '{"side":"a","weight":2.1640890861976425,"value":-1.3449970239279145,'
+        '"contribution":-2.9106933804507094},'
+        '{"side":"b","weight":2.00311287244374,"value":2.0549725934920313,'
+        '"contribution":4.116342054542986},'
+        '{"side":"c","weight":2.121320343559643,"value":1.3333333333333333,'
+        '"contribution":2.8284271247461903}]}\n'), ""),
+    ("--point=0.3,0.3", "--tol", "1"): (0, (
+        '{"inequality":"LuWeighted13","region":"lambda0","lhs":1.9474186898847101,'
+        '"rhs":1.8403928844961577,"slack":0.10702580538855244,"tight":true,"terms":['
+        '{"side":"a","weight":2,"value":0.2828427124746189,"contribution":0.5656854249492378},'
+        '{"side":"b","weight":2.0861785518604723,"value":0.30551255030642616,'
+        '"contribution":0.6373537297734598},'
+        '{"side":"c","weight":2.0861785518604723,"value":0.30551255030642616,'
+        '"contribution":0.6373537297734598}]}\n'), ""),
+    ("--point=0.5,1e-13", "--eps", "1e-3", "--inequality", "barrow"): (3, "", (
+        "error: point Point2(x=0.5, y=1e-13) classifies as mu3, not the interior\n")),
+}
+
+
+@pytest.mark.parametrize("args", list(EVAL_RARE_BRANCHES), ids=" ".join)
+def test_eval_rare_branches_are_pinned(capsys, args):
+    assert run_cli(capsys, "eval", "--triangle", UNIT_RIGHT, *args) == EVAL_RARE_BRANCHES[args]
+
+
 def test_eval_named_inequalities(capsys):
     for name, expected in (
         ("barrow", "Barrow1"),
@@ -674,6 +730,33 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
     slack = evaluate(T, Point2(0.3, 0.3)).slack
     assert slack == 0.10702580538855244
     assert any(line.startswith("rep.slack ") and f"# {slack!r} " in line for line in lines)
+
+
+#: The README's points where the signed bound holds with equality outside
+#: the triangle 0,0;4,0;1,2, and their regions.
+README_EQUALITY_POINTS = {
+    "3.7132821818687,0.2323452798276": "mu1",
+    "-0.3799488485354,1.1009880535057": "mu2",
+}
+
+
+def test_readme_equality_points_print_zero_slack(capsys):
+    # The equilateral circumcenter is not the only equality case: `eval`
+    # prints a zero slack at these points, and 1e-4 away from each the
+    # slack is positive in eight directions (at least 2.8e-9).
+    text = " ".join((ROOT / "README.md").read_text().split())
+    T = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 2.0))
+    for point, region in README_EQUALITY_POINTS.items():
+        assert f"`{point}` (in `{region}`)" in text
+        code, out, err = run_cli(capsys, "eval", "--triangle", "0,0;4,0;1,2", f"--point={point}")
+        data = json.loads(out)
+        assert (code, err, data["inequality"], data["region"]) == (0, "", "SignedBarrow30", region)
+        assert (data["slack"], data["tight"]) == (0, True)
+        x, y = map(float, point.split(","))
+        for k in range(8):
+            angle = 2.0 * math.pi * k / 8
+            M = Point2(x + 1e-4 * math.cos(angle), y + 1e-4 * math.sin(angle))
+            assert evaluate(T, M).slack > 0.0
 
 
 def _imported_barrow_names(path: Path):

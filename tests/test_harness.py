@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from barrow import (
     sample_triangle,
     tightness_search,
 )
-from barrow import bisectors, cli, errors, harness, inequalities, regions
+from barrow import cli, errors, harness, inequalities, regions
 from barrow.errors import GeometryError
 from barrow.geom import PointFrame, barycentric, dist, vertex_distances
 from barrow.harness import (
@@ -34,8 +35,9 @@ from barrow.harness import (
     TRIANGLE_SHAPES,
     _nelder_mead,
 )
-from barrow.inequalities import bound_report, frame_report
+from barrow.inequalities import bound_report
 from barrow.regions import OPEN_PATTERNS, classify_frame
+import frame_reference as reference
 import oracles
 
 
@@ -298,21 +300,33 @@ def _counting_frames(monkeypatch) -> list:
     return frames
 
 
-def test_fuzz_evaluates_the_frame_its_sampler_accepted(monkeypatch):
-    # Only a rejected region draw or a missed sideline snap builds a second
-    # frame: at most 1.008 frames per sample here, against 2 when each
-    # sample's point was measured again for its reports.
+def test_fuzz_builds_no_frame(monkeypatch):
+    # The samplers accept a draw by the kernel's label and the fuzz reads the
+    # accepted point's bounds from the same kernel: no frame at all, against
+    # at most 1.008 frames per sample when the samplers built them.
     frames = _counting_frames(monkeypatch)
     for shape in TRIANGLE_SHAPES:
-        frames.clear()
         fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
-        assert len(frames) <= 1020
+    assert frames == []
+
+
+#: The calls of ``fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))``:
+#: three bisectors a sample; ``classify_pattern`` for the snapped samples
+#: only; three ``hypot`` a sample for its point and three for its triangle's
+#: sides (four for a near-degenerate one), plus the sides of rejected
+#: triangles and the distances of rejected region draws.
+_KERNEL_CALLS = {
+    "random": {"bisector": 3000, "classify": 118, "hypot": 6009},
+    "near-degenerate": {"bisector": 3000, "classify": 114, "hypot": 7006},
+    "equilateral-perturbed": {"bisector": 3000, "classify": 133, "hypot": 6000},
+}
 
 
 def test_fuzz_does_each_kernel_step_once_per_sample(monkeypatch):
     # Each sample computes its three bisectors once, however many of its
-    # reports read them, and is classified once, by its sampler.
-    calls = {"bisector": 0, "classify": 0, "signed_distances": 0}
+    # bounds read them, and its three vertex distances once; only a sign
+    # pattern that snapped onto a sideline is classified by classify_pattern.
+    calls = {"bisector": 0, "classify": 0, "hypot": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -320,16 +334,16 @@ def test_fuzz_does_each_kernel_step_once_per_sample(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(bisectors, "_bisector", counted("bisector", bisectors._bisector))
-    monkeypatch.setattr(regions, "classify_pattern", counted("classify", regions.classify_pattern))
-    # Its signed distances are computed once too, though two bounds of an
-    # interior sample read them.
-    monkeypatch.setattr(PointFrame, "signed_distances",
-                        counted("signed_distances", PointFrame.signed_distances))
+    monkeypatch.setattr(inequalities, "_bisector", counted("bisector", inequalities._bisector))
+    monkeypatch.setattr(inequalities, "classify_pattern",
+                        counted("classify", inequalities.classify_pattern))
+    # The kernel reads hypot from math when it binds a triangle, and so do
+    # the triangle's own three sides.
+    monkeypatch.setattr(math, "hypot", counted("hypot", math.hypot))
     for shape in TRIANGLE_SHAPES:
-        calls.update(bisector=0, classify=0, signed_distances=0)
+        calls.update(bisector=0, classify=0, hypot=0)
         fuzz(FuzzConfig(n=1000, seed=3, triangle_shape=shape))
-        assert calls == {"bisector": 3000, "classify": 1000, "signed_distances": 1000}
+        assert calls == _KERNEL_CALLS[shape]
 
 
 def _hex_slacks(triples):
@@ -337,21 +351,23 @@ def _hex_slacks(triples):
 
 
 def _slacks_from_frame_values(T, M, region):
-    """The fuzz's triples at M, read bound by bound from ``frame_values`` on a new frame."""
+    """The fuzz's triples at M, read bound by bound from the reference ``frame_values``."""
     F = PointFrame(T, M)
     ids = [InequalityId.SIGNED_BARROW30, InequalityId.DERGIADES3]
-    values = [inequalities.frame_values(inequalities.BOUNDS[i], F, region) for i in ids]
+    values = [reference.frame_values(reference.BOUNDS[i], F, region) for i in ids]
     # A lambda0 signed report rules out a vertex, so the interior-only
     # bounds are defined there.
     if values[0][1] is Region.LAMBDA0:
         ids = [InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2]
-        values += [inequalities.frame_values(inequalities.BOUNDS[i], F, region) for i in ids]
+        values += [reference.frame_values(reference.BOUNDS[i], F, region) for i in ids]
     return _hex_slacks((i.value, r.value, lhs - rhs) for i, r, lhs, rhs, _ in values)
 
 
 def test_frame_slacks_are_the_frame_values_slacks(unit_right):
-    # Every stratum of every shape, then frames in the three vertex regions
-    # and one on a vertex of a thin triangle whose sign pattern is open.
+    # The fuzz's one kernel pass gives the slacks, labels and distance sum of
+    # the reference frame path, bit for bit: on every stratum of every shape,
+    # at the three vertices, and on a vertex of a thin triangle whose sign
+    # pattern is open.
     cases = []
     for shape in TRIANGLE_SHAPES:
         for stratum in STRATA:
@@ -359,19 +375,20 @@ def test_frame_slacks_are_the_frame_values_slacks(unit_right):
             for seed in range(30):
                 rng = random.Random(f"{shape}/{stratum}/{seed}")
                 T = sample_triangle(rng, shape, height_band=band)
-                cases.append((T, *harness._sample_frame(rng, T, stratum)))
-    for M in unit_right.vertices:
-        F = PointFrame(unit_right, M)
-        cases.append((unit_right, F, classify_frame(F)))
+                cases.append((T, *harness._sample(rng, T, stratum, inequalities.slacks_function(T))))
     thin = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-3))
-    F = PointFrame(thin, Point2(0.5, 1e-3 - 5e-13))
-    cases.append((thin, F, classify_frame(F)))
-    assert F.vertex == 2 and cases[-1][2] is Region.LAMBDA0
+    for T, M in [*((unit_right, M) for M in unit_right.vertices), (thin, Point2(0.5, 1e-3 - 5e-13))]:
+        cases.append((T, M, inequalities.slacks_function(T)(*M)))
+    F = PointFrame(thin, cases[-1][1])
+    assert F.vertex == 2 and classify_frame(F) is Region.LAMBDA0
     seen = set()
-    for T, F, region in cases:
-        got = _hex_slacks(inequalities.frame_slacks(F, region))
-        assert got == _slacks_from_frame_values(T, F.M, region)
-        seen.update((inequality, region) for inequality, region, _ in got)
+    for T, M, (R_sum, slacks) in cases:
+        F = PointFrame(T, M)
+        region = classify_frame(F)
+        want = _hex_slacks(reference.frame_slacks(F, region))
+        assert _hex_slacks(slacks) == want == _slacks_from_frame_values(T, M, region)
+        assert float.hex(R_sum) == float.hex(F.R_sum)
+        seen.update((inequality, region) for inequality, region, _ in want)
     assert {label for label, _ in seen} == {
         "SignedBarrow30", "LuWeighted13", "Dergiades3", "Barrow1", "ErdosMordell2",
         "VertexA14", "VertexB15", "VertexC16",
@@ -574,14 +591,14 @@ def test_tightness_search_rejects_vertex_ids(unit_right):
             tightness_search(unit_right, inequality)
 
 
-def test_search_builds_one_frame_per_start(scalene, monkeypatch):
-    # Each start's sampler builds one frame; the slack kernel evaluates every
-    # simplex point of this triangle without one.
+def test_search_builds_no_frame(scalene, monkeypatch):
+    # The starts are drawn by the kernel's label and every simplex point is
+    # evaluated by the kernel: no frame, against one per start when the
+    # samplers built them.
     frames = _counting_frames(monkeypatch)
     for inequality in inequalities.BOUNDS:
-        frames.clear()
         tightness_search(scalene, inequality, starts=14)
-        assert len(frames) == 14, inequality
+    assert frames == []
 
 
 def test_grid_scan_shape_and_order(unit_right):
@@ -667,35 +684,90 @@ def _sampled_objective_cases():
     return cases
 
 
+def _kernel_or_error(row, x, y):
+    try:
+        return row(x, y)
+    except (GeometryError, ValueError) as exc:
+        return type(exc)
+
+
+def _reference_or_error(inequality, T, x, y):
+    try:
+        return reference.report_row(inequality, T, x, y)
+    except (GeometryError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_rows_are_the_reference(inequality, T, points):
+    """Each kernel row holds the reference report's values bit for bit, NaN for a side without a term.
+
+    Where the reference raises, the kernel raises the same error or, off an
+    interior-only bound's domain, returns None; the search's slack is inf.
+    """
+    row = inequalities.values_function(T, inequality)
+    objective = inequalities.slack_function(T, inequality)
+    for x, y in points:
+        want = _reference_or_error(inequality, T, x, y)
+        got = _kernel_or_error(row, x, y)
+        if isinstance(want, type):
+            assert got is want or (got is None and inequality in inequalities.INTERIOR_IDS), (
+                inequality, T, x, y, got, want)
+            assert objective(x, y) == math.inf, (inequality, T, x, y)
+            continue
+        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True)), (T, x, y, got, want)
+        assert same_bits(objective(x, y), want[11]), (inequality, T, x, y)
+
+
 @pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
 def test_search_objective_is_the_report_slack(scalene, inequality):
     # The search and the scan read the point kernel's rows without building
-    # a report: each row must hold the report's values bit for bit, with NaN
-    # for a side without a term.  Where the report raises, the kernel raises
-    # the same error or, off an interior-only bound's domain, returns None,
-    # and the search's slack is inf.
+    # a report; the frame path the kernel replaced is the reference.
     for T, points in [(scalene, OBJECTIVE_POINTS), *_sampled_objective_cases()]:
-        row = inequalities.values_function(T, inequality)
-        objective = inequalities.slack_function(T, inequality)
-        for x, y in points:
-            try:
-                rep = bound_report(inequality, T, Point2(x, y))
-            except (GeometryError, ValueError) as exc:
-                try:
-                    got = row(x, y)
-                except (GeometryError, ValueError) as raised:
-                    got = type(raised)
-                assert got is type(exc) or (got is None and inequality in inequalities.INTERIOR_IDS)
-                assert objective(x, y) == math.inf, (inequality, T, x, y)
+        assert_rows_are_the_reference(inequality, T, points)
+
+
+def _report_hex(report):
+    """A report, or the type of what it raised, with every float by its bits."""
+    if isinstance(report, type):
+        return report
+    inequality, region, lhs, rhs, slack, tight, terms = report
+    return (inequality, region, *map(float.hex, (lhs, rhs, slack)), tight,
+            [(side, *map(float.hex, values)) for side, *values in terms])
+
+
+def _underflow_cases():
+    """Points whose barycentric ratio underflows to zero while its cross does not.
+
+    On a triangle 1e10 wide, 5e-324 off side AB the cross is about 5e-314 and
+    its ratio to the area 5e-334: it keeps the sign of the cross, so the
+    point is inside at eps 0 and snaps onto the side at eps 1e-12.
+    """
+    T = Triangle(Point2(0.0, 0.0), Point2(1e10, 0.0), Point2(0.0, 1e10))
+    return [(T, [(5e9, 5e-324), (5e9, -5e-324), (5e9, 0.0), (-5e-324, 5e9), (5e9, 5e9)])]
+
+
+@pytest.mark.parametrize("eps, tol_factor", [
+    (1e-12, 1e-9), (0.4, 1e-9), (1e-3, 0.5), (0.0, 1e-9), (-0.5, 1e-9),
+])
+def test_bound_report_is_the_reference_report(scalene, eps, tol_factor):
+    # Every bound at every finite objective point, classified at a narrow
+    # and two wide snap thresholds, and at eps 0 and below, where only the
+    # sign a ratio keeps decides: the report of the frame path, or the same
+    # error.
+    cases = [(scalene, OBJECTIVE_POINTS), *_underflow_cases()]
+    if eps > 0.0:
+        cases += _sampled_objective_cases()
+    for T, points in cases:
+        for (x, y), inequality in itertools.product(points, inequalities.BOUNDS):
+            if not (math.isfinite(x) and math.isfinite(y)):
                 continue
-            terms = [math.nan, math.nan, math.nan]
-            for term in rep.terms:
-                terms["abc".index(term.side)] = term.value
-            want = (x, y, rep.region.value, *PointFrame(T, Point2(x, y)).R, *terms,
-                    rep.lhs, rep.rhs, rep.slack)
-            got = row(x, y)
-            assert all(same_bits(g, w) for g, w in zip(got, want, strict=True)), (T, x, y)
-            assert same_bits(objective(x, y), rep.slack), (inequality, T, x, y)
+            reports = []
+            for build in (bound_report, reference.bound_report):
+                try:
+                    reports.append(build(inequality, T, Point2(x, y), eps, tol_factor))
+                except GeometryError as exc:
+                    reports.append(type(exc))
+            assert _report_hex(reports[0]) == _report_hex(reports[1]), (inequality, T, x, y)
 
 
 def _scan_cases():
@@ -728,37 +800,31 @@ def _scan_cases():
     return cases
 
 
-def _report_rows(triangle, bbox, resolution):
-    """The ``frame_report(SIGNED_BARROW30)`` row of every cell center, in scan order.
-
-    Each row comes with the frame of its cell center.
-    """
+def _cell_centers(bbox, resolution):
+    """The cell centers of a scan, in scan order."""
     x0, y0, x1, y1 = bbox
     dx, dy = (x1 - x0) / resolution, (y1 - y0) / resolution
-    for iy in range(resolution):
-        y = y0 + (iy + 0.5) * dy
-        for ix in range(resolution):
-            x = x0 + (ix + 0.5) * dx
-            F = PointFrame(triangle, Point2(x, y))
-            rep = frame_report(InequalityId.SIGNED_BARROW30, F, classify_frame(F))
-            lp = [math.nan, math.nan, math.nan]
-            for term in rep.terms:
-                lp["abc".index(term.side)] = term.value
-            yield (x, y, rep.region.value, *F.R, *lp, rep.lhs, rep.rhs, rep.slack), F
+    return [(x0 + (ix + 0.5) * dx, y0 + (iy + 0.5) * dy)
+            for iy in range(resolution) for ix in range(resolution)]
 
 
-def _framed(F) -> bool:
-    """Whether the scan builds a frame for this cell: it snaps onto a sideline or is a vertex."""
+def _snapped(T, x, y) -> bool:
+    """Whether the cell center snaps onto a sideline or lies on a vertex."""
+    F = PointFrame(T, Point2(x, y))
     return 0 in regions.sign_pattern(F) or F.vertex is not None
 
 
 @pytest.mark.parametrize("triangle, bbox, resolution", _scan_cases())
 def test_grid_scan_rows_are_the_report_values(triangle, bbox, resolution, monkeypatch):
-    # Row for row the values of frame_report, bit for bit, and the error
-    # the first failing cell's frame raises; only the snapped and the
-    # vertex cells build a frame.
+    # Row for row the values of the reference report, bit for bit, and the
+    # error the first failing cell's frame raises; no cell builds a frame.
+    # Every bound's kernel rows on the same cells are the reference's too.
+    cells = _cell_centers(bbox, resolution)
+    for inequality in inequalities.BOUNDS:
+        assert_rows_are_the_reference(inequality, triangle, cells)
     try:
-        expected = list(_report_rows(triangle, bbox, resolution))
+        expected = [reference.report_row(InequalityId.SIGNED_BARROW30, triangle, x, y)
+                    for x, y in cells]
     except DomainError as exc:
         with pytest.raises(DomainError) as info:
             grid_scan(triangle, bbox, resolution)
@@ -766,10 +832,10 @@ def test_grid_scan_rows_are_the_report_values(triangle, bbox, resolution, monkey
         return
     frames = _counting_frames(monkeypatch)
     grid = grid_scan(triangle, bbox, resolution)
+    assert frames == []
     assert len(grid.rows) == len(expected) == resolution * resolution
-    for row, (want, _) in zip(grid.rows, expected):
+    for row, want in zip(grid.rows, expected):
         assert all(same_bits(got, w) for got, w in zip(row, want, strict=True)), row
-    assert len(frames) == sum(_framed(F) for _, F in expected)
 
 
 def test_scan_cases_reach_every_fallback_branch():
@@ -779,7 +845,7 @@ def test_scan_cases_reach_every_fallback_branch():
     seen = {"sideline": 0, "vertex": 0, "open-vertex": 0, "overflow": 0}
     for triangle, bbox, resolution in _scan_cases():
         try:
-            frames = [F for _, F in _report_rows(triangle, bbox, resolution)]
+            frames = [PointFrame(triangle, Point2(x, y)) for x, y in _cell_centers(bbox, resolution)]
         except DomainError as exc:
             assert "overflow" in str(exc)
             seen["overflow"] += 1
@@ -793,47 +859,45 @@ def test_scan_cases_reach_every_fallback_branch():
     assert seen == {"sideline": 12, "vertex": 1, "open-vertex": 1, "overflow": 2}
 
 
-def test_readme_scan_builds_a_frame_per_snapped_or_vertex_cell(scalene, monkeypatch):
-    # The README's scan: every cell off the sidelines and the vertices is
-    # evaluated from its crosses, without a frame.
+def test_readme_scan_builds_no_frame(scalene, monkeypatch):
+    # The README's scan: its 22 cells on a sideline take the kernel's snapped
+    # branch, and no cell builds a frame (22 did, one per snapped cell).
     bbox = cli._default_bbox(scalene)
-    framed = sum(_framed(F) for _, F in _report_rows(scalene, bbox, 64))
+    assert sum(_snapped(scalene, x, y) for x, y in _cell_centers(bbox, 64)) == 22
     frames = _counting_frames(monkeypatch)
     grid_scan(scalene, bbox, 64)
-    assert len(frames) == framed == 22
+    assert frames == []
 
 
 def test_jobs_build_no_reports(monkeypatch, scalene):
     # The jobs read values, not records: no report and no discarded
     # OutsideInterior, while the public bound_report still builds one report.
-    calls = {"frame_report": 0, "OutsideInterior": 0}
-    frame_report_ = inequalities.frame_report
+    calls = {"report": 0, "OutsideInterior": 0}
+    report_new = inequalities.InequalityReport.__new__
     outside_init = errors.OutsideInterior.__init__
 
-    def counted_report(*args):
-        calls["frame_report"] += 1
-        return frame_report_(*args)
+    def counted_report(cls, *args):
+        calls["report"] += 1
+        return report_new(cls, *args)
 
     def counted_outside(self, *args):
         calls["OutsideInterior"] += 1
         outside_init(self, *args)
 
-    # harness too, so the count holds should it import the name itself.
-    for module in (inequalities, harness):
-        monkeypatch.setattr(module, "frame_report", counted_report, raising=False)
+    monkeypatch.setattr(inequalities.InequalityReport, "__new__", counted_report)
     monkeypatch.setattr(errors.OutsideInterior, "__init__", counted_outside)
 
     for inequality in inequalities.BOUNDS:
         tightness_search(scalene, inequality, starts=3, seed=1)
     grid_scan(scalene, (-1.0, -1.0, 5.0, 3.0), 16)
     fuzz(FuzzConfig(n=300, seed=5))
-    assert calls == {"frame_report": 0, "OutsideInterior": 0}
+    assert calls == {"report": 0, "OutsideInterior": 0}
 
     bound_report(InequalityId.BARROW1, scalene, Point2(1.3, 0.7))
-    assert calls == {"frame_report": 1, "OutsideInterior": 0}
+    assert calls == {"report": 1, "OutsideInterior": 0}
     with pytest.raises(errors.OutsideInterior):
         bound_report(InequalityId.BARROW1, scalene, Point2(-0.5, -0.5))
-    assert calls == {"frame_report": 2, "OutsideInterior": 1}
+    assert calls == {"report": 1, "OutsideInterior": 1}
 
 
 def _hex_bytes(values) -> bytes:
