@@ -4,12 +4,12 @@ Every named bound is an entry of one table, :data:`BOUNDS`: whether it is
 interior-only, whether its terms are signed sideline distances or signed
 bisectors, and its weights.  One point kernel, :func:`values_function`,
 evaluates them all from a point's M-relative vertex vectors and their
-crosses, without a :class:`~barrow.geom.PointFrame`; each bound's terms,
-weights, rhs sum, domain and vertex routing are written there once, with
-the rare branches (a snapped sign pattern, a vertex, overflowing
-distances).  The scan reads its rows, the search their slack through
-:func:`slack_function`, and the fuzz every bound of a sample in one pass
-through :func:`slacks_function`.  Only :func:`bound_report` builds an
+crosses, without a :class:`~barrow.geom.PointFrame`, in one pass per point
+that snaps its sign pattern once and computes each term once, rare branches
+(a snapped pattern, a vertex, overflowing distances) included.  The scan
+reads its rows, the search their slack through :func:`slack_function`, and
+the fuzz every bound of a sample from one pass through
+:func:`slacks_function`.  Only :func:`bound_report` builds an
 :class:`InequalityReport`, from one kernel row: the slack ``lhs - rhs``
 (non-negative for all valid inputs, up to floating-point tolerance; that
 non-negativity is the property the rest of the repository tests),
@@ -32,10 +32,8 @@ from .bisectors import _bisector
 from .errors import DomainError, GeometryError, OutsideInterior, VertexCoincidence
 from .geom import (
     COINCIDENCE_FACTOR,
-    BaryCoords,
     DistanceTriple,
     Point2,
-    PointFrame,
     Triangle,
     _check_far,
     _keep_sign,
@@ -46,9 +44,7 @@ from .regions import (
     SIDE_ENDS,
     VERTEX_REGIONS,
     Region,
-    classify_frame,
     classify_pattern,
-    sign_pattern,
 )
 
 DEFAULT_TOL_FACTOR = 1e-9
@@ -248,13 +244,8 @@ INTERIOR_IDS = frozenset(i for i, (interior_only, _, _) in BOUNDS.items() if int
 #: Inequalities defined only pointwise at a vertex (no 2-D domain to search).
 VERTEX_IDS = frozenset(InequalityId).difference(BOUNDS)
 
-#: The (label, distance terms, weights) of the bounds the fuzz reads off a
-#: vertex, in its order: outside the interior, then inside it.
-_SIGNED_RULE = BOUNDS[InequalityId.SIGNED_BARROW30]
-_FUZZ_OPEN, _FUZZ_INTERIOR = (tuple((bound.value, *BOUNDS[bound][1:]) for bound in bounds) for bounds in (
-    (InequalityId.SIGNED_BARROW30, InequalityId.DERGIADES3),
-    (InequalityId.LU_WEIGHTED13, InequalityId.DERGIADES3, InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2),
-))
+# The labels of the bounds the fuzz reads, in BOUNDS order, bound once like the region labels.
+_BARROW, _ERDOS, _DERGIADES, _LU, _SIGNED = (bound.value for bound in BOUNDS)
 
 
 def _rule(inequality: InequalityId) -> tuple[bool, bool, str]:
@@ -304,17 +295,21 @@ def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool =
     :func:`values_function`, or with ``every`` that of :func:`slacks_function`.
     """
     interior_only, distances, kind = rule
-    # One tuple, not a cell per name, as the fuzz binds a triangle per sample; eps clamps at 0.
+    # A coordinate snaps to +1 above hi, -1 below lo, else 0, as sign_pattern
+    # snaps it at eps; at eps < 0 (or NaN) 0.0 itself takes -1.
+    hi = eps if eps > 0.0 else 0.0
+    lo = -hi if eps >= 0.0 else math.inf
+    # The row's weights when no distance sets them, or the fuzz's Dergiades3 weights.
+    fixed = T.ratio_weights if every else None if kind is _DISTANCE_WEIGHTS else _weights(kind, T, 0, 0, 0)
+    # One tuple, not a cell per name, as the fuzz binds a triangle per sample.
     consts = (
         *T.A, *T.B, *T.C, T.area, T.orient_sign, COINCIDENCE_FACTOR * T.diameter, T.a, T.b, T.c,
-        T.orient_sign * 2.0, eps if eps > 0.0 else 0.0, math.hypot, interior_only, distances, kind,
-        None if kind is _DISTANCE_WEIGHTS or every else _weights(kind, T, 0.0, 0.0, 0.0), every,
-        ((None, distances, kind),),
+        T.orient_sign * 2.0, hi, lo, math.hypot, interior_only, distances, kind, every, fixed,
     )
 
     def point(x: float, y: float, want: str | None = None):
-        (Ax, Ay, Bx, By, Cx, Cy, area, s, near, a, b, c, s2, snap, hypot,
-         interior_only, distances, kind, fixed, every, own) = consts
+        (Ax, Ay, Bx, By, Cx, Cy, area, s, near, a, b, c, s2, hi, lo, hypot,
+         interior_only, distances, kind, every, fixed) = consts
         ax, ay = Ax - x, Ay - y
         bx, by = Bx - x, By - y
         cx, cy = Cx - x, Cy - y
@@ -324,15 +319,16 @@ def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool =
             # A ratio that underflowed to zero keeps the sign of its cross.
             u, v, w = _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
         if interior_only:
-            if not (u > snap and v > snap and w > snap):
+            if not (u > hi and v > hi and w > hi):
                 return None
             label = _LAMBDA0
         else:
-            label = _LABEL_BY_PATTERN.get((
-                1 if u > snap else -1 if u < -snap else 0,
-                1 if v > snap else -1 if v < -snap else 0,
-                1 if w > snap else -1 if w < -snap else 0,
-            ))
+            pattern = (
+                1 if u > hi else -1 if u < lo else 0,
+                1 if v > hi else -1 if v < lo else 0,
+                1 if w > hi else -1 if w < lo else 0,
+            )
+            label = _LABEL_BY_PATTERN.get(pattern)
         R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
         far = R_B if R_B > R_A else R_A
         far = R_C if R_C > far else far
@@ -343,10 +339,18 @@ def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool =
         snapped = label is None
         if snapped:
             Point2(x, y)  # a non-finite coordinate raises ValueError here
-            label = classify_pattern(sign_pattern(BaryCoords(u, v, w), eps))._value_
+            label = classify_pattern(pattern)._value_
         if want is not None and label != want:
             return None
         lhs = R_A + R_B + R_C
+        if every or distances:
+            d_a, d_b, d_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
+            if not (d_a and d_b and d_c):
+                d_a, d_b, d_c = _keep_sign(d_a, k_a, s), _keep_sign(d_b, k_b, s), _keep_sign(d_c, k_c, s)
+        if every:
+            # Dergiades3 evaluates a vertex as any other point; each rhs sums from 0.0 in side order.
+            r_a, r_b, r_c = fixed
+            dergiades = (_DERGIADES, label, lhs - (0.0 + r_a * d_a + r_b * d_b + r_c * d_c))
         if nearest <= near or snapped and label in _VERTEX_LABELS:
             vertex = (R_A, R_B, R_C).index(nearest) if nearest <= near else None
             if interior_only:
@@ -355,32 +359,26 @@ def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool =
                 k = _VERTEX_LABELS.index(label) if label in _VERTEX_LABELS else vertex
                 row = _vertex_row(x, y, k, vertex, (R_A, R_B, R_C),
                                   ((ax, ay), (bx, by), (cx, cy)), (k_a, k_b, k_c)[k])
-                if not every:
-                    return row
-                # Dergiades3 evaluates a vertex as any other point.
-                dergiades = _kernel(T, BOUNDS[InequalityId.DERGIADES3], eps)(x, y)
-                return lhs, [(_VERTEX_BOUNDS[k].value, row[2], row[11]),
-                             (InequalityId.DERGIADES3.value, dergiades[2], dergiades[11])]
+                if every:
+                    return lhs, [(_VERTEX_BOUNDS[k].value, row[2], row[11]), dergiades]
+                return row
         if every or not distances:
             l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
             l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
             l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
-            lp = (-l_a if u < 0.0 else l_a, -l_b if v < 0.0 else l_b, -l_c if w < 0.0 else l_c)
-        if every or distances:
-            d_a, d_b, d_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
-            if not (d_a and d_b and d_c):
-                d_a, d_b, d_c = _keep_sign(d_a, k_a, s), _keep_sign(d_b, k_b, s), _keep_sign(d_c, k_c, s)
-            d = (d_a, d_b, d_c)
-        # The bound's rhs, or every bound's the fuzz reads, summed from 0.0 in side order.
-        slacks = []
-        for name, dist, weights in (_FUZZ_INTERIOR if label == _LAMBDA0 else _FUZZ_OPEN) if every else own:
-            t_a, t_b, t_c = d if dist else lp
-            w_a, w_b, w_c = fixed or _weights(weights, T, R_A, R_B, R_C)
-            rhs = 0.0 + w_a * t_a + w_b * t_b + w_c * t_c
-            if not every:
-                return x, y, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, lhs - rhs
-            slacks.append((name, label, lhs - rhs))
-        return lhs, slacks
+            l_a, l_b, l_c = -l_a if u < 0.0 else l_a, -l_b if v < 0.0 else l_b, -l_c if w < 0.0 else l_c
+        if every:
+            w_a, w_b, w_c = _weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B)
+            signed = lhs - (0.0 + w_a * l_a + w_b * l_b + w_c * l_c)
+            if label != _LAMBDA0:
+                return lhs, [(_SIGNED, label, signed), dergiades]
+            return lhs, [(_LU, label, signed), dergiades,
+                         (_BARROW, label, lhs - (0.0 + 2.0 * l_a + 2.0 * l_b + 2.0 * l_c)),
+                         (_ERDOS, label, lhs - (0.0 + 2.0 * d_a + 2.0 * d_b + 2.0 * d_c))]
+        t_a, t_b, t_c = (d_a, d_b, d_c) if distances else (l_a, l_b, l_c)
+        w_a, w_b, w_c = fixed or (_weight(R_B, R_C), _weight(R_C, R_A), _weight(R_A, R_B))
+        rhs = 0.0 + w_a * t_a + w_b * t_b + w_c * t_c
+        return x, y, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, lhs - rhs
 
     return point
 
@@ -394,9 +392,10 @@ def values_function(
     t_c, lhs, rhs, slack)`` in ``ScanRow`` order, ``t`` NaN on a side without
     a term, or None off an interior-only bound's domain; it raises what that
     call raises.  It reads the vertex vectors, their crosses and three
-    ``hypot`` in :class:`PointFrame`'s float operations; a snapped pattern
-    takes ``classify_pattern``'s label, and a vertex label or a point within
-    ``COINCIDENCE_FACTOR`` of the diameter of a vertex that vertex's bound.
+    ``hypot`` in :class:`PointFrame`'s float operations; a pattern snapped
+    as ``sign_pattern`` snaps it at eps takes ``classify_pattern``'s label,
+    and a vertex label or a point within ``COINCIDENCE_FACTOR`` of the
+    diameter of a vertex that vertex's bound.
     """
     return _kernel(T, _rule(inequality), eps)
 
@@ -409,7 +408,7 @@ def slacks_function(T: Triangle) -> Callable:
     vertex), ``Dergiades3``, then inside ``Barrow1`` and ``ErdosMordell2``;
     None when ``want`` is another region label.
     """
-    return _kernel(T, _SIGNED_RULE, DEFAULT_EPS, True)
+    return _kernel(T, BOUNDS[InequalityId.SIGNED_BARROW30], DEFAULT_EPS, True)
 
 
 def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, float], float]:
@@ -443,13 +442,14 @@ def bound_report(
     (R_A + R_B + R_C).  An interior-only bound raises OutsideInterior off the
     open interior and VertexCoincidence on a vertex.
     """
-    rule = _rule(inequality)
-    row = _kernel(T, rule, eps)(*M)
+    row = values_function(T, inequality, eps)(*M)
     if row is None:
-        region = classify_frame(PointFrame(T, M), eps)
-        raise OutsideInterior(f"point {M} classifies as {region.value}, not the interior")
+        # Dergiades3 holds in the whole plane: its row names the point's region.
+        region = values_function(T, InequalityId.DERGIADES3, eps)(*M)[2]
+        raise OutsideInterior(f"point {M} classifies as {region}, not the interior")
     _, _, label, R_A, R_B, R_C, t_a, t_b, t_c, lhs, rhs, slack = row
-    R, t, weighted = (R_A, R_B, R_C), (t_a, t_b, t_c), rule[2] is _DISTANCE_WEIGHTS
+    kind = BOUNDS[inequality][2]
+    R, t, weighted = (R_A, R_B, R_C), (t_a, t_b, t_c), kind is _DISTANCE_WEIGHTS
     if weighted and label in _VERTEX_LABELS:
         k = _VERTEX_LABELS.index(label)
         i, j = SIDE_ENDS[k]
@@ -457,7 +457,7 @@ def bound_report(
     else:
         if weighted and label == _LAMBDA0:
             inequality = InequalityId.LU_WEIGHTED13
-        parts = enumerate(_weights(rule[2], T, *R))
+        parts = enumerate(_weights(kind, T, *R))
     terms = tuple(Term("abc"[k], w, t[k], w * t[k]) for k, w in parts)
     tight = abs(slack) <= tol_factor * (R_A + R_B + R_C)
     return InequalityReport(inequality, Region(label), lhs, rhs, slack, tight, terms)

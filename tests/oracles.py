@@ -6,10 +6,13 @@ uses: bisector lengths by intersecting the bisector ray with the opposite
 line, region membership by raw side-of-line tests against each sideline.
 The simplex descent is kept in its earlier form, which holds its vertices
 in lists and orders them with ``sorted``, as a reference for the points the
-library's descent visits.
+library's descent visits.  The signed bound has an 80-digit ``decimal``
+evaluator, a reference that measures how much of the float kernel's error
+budget it uses.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 
 def ray_bisector_foot(M, B, C):
@@ -145,3 +148,33 @@ def reference_nelder_mead(f, x0, step, tol):
             vals[i] = f(*pts[i])
     best_val, _, best_pt = sorted(zip(vals, _INDICES, pts))[0]
     return best_pt, best_val
+
+
+def decimal_signed_slack(A, B, C, M):
+    """The signed bound's slack at M and R_A + R_B + R_C, in 80-digit decimal arithmetic.
+
+    Takes plain (x, y) tuples of floats, each converted exactly by
+    ``Decimal(float)``, and returns two ``Decimal``.  The bisector from M
+    toward a side whose ends lie at distances R_y and R_z is
+    2 R_y R_z cos(t/2) / (R_y + R_z), t the angle the side spans at M, with
+    cos^2(t/2) = (1 + dot / (R_y R_z)) / 2; it is negative where M's
+    barycentric coordinate for that side is.  Its weight is
+    sqrt(R_z / R_y) + sqrt(R_y / R_z).  M must not be a vertex.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        (ax, ay), (bx, by), (cx, cy), (mx, my) = (tuple(map(Decimal, P)) for P in (A, B, C, M))
+        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        vectors = [(px - mx, py - my) for px, py in ((ax, ay), (bx, by), (cx, cy))]
+        R = [(x * x + y * y).sqrt() for x, y in vectors]
+        rhs = Decimal(0)
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            (px, py), (qx, qy), R_y, R_z = vectors[i], vectors[j], R[i], R[j]
+            cos_sq = (1 + (px * qx + py * qy) / (R_y * R_z)) / 2
+            bisector = 2 * R_y * R_z * max(cos_sq, Decimal(0)).sqrt() / (R_y + R_z)
+            if (px * qy - py * qx) * area2 < 0:
+                bisector = -bisector
+            rhs += ((R_z / R_y).sqrt() + (R_y / R_z).sqrt()) * bisector
+        R_sum = R[0] + R[1] + R[2]
+        return R_sum - rhs, R_sum

@@ -191,6 +191,37 @@ EVAL_RARE_BRANCHES = {
         '"contribution":0.6373537297734598}]}\n'), ""),
     ("--point=0.5,1e-13", "--eps", "1e-3", "--inequality", "barrow"): (3, "", (
         "error: point Point2(x=0.5, y=1e-13) classifies as mu3, not the interior\n")),
+    # On the extension of side c at eps 0 the zero of w snaps, and the point
+    # belongs to the closed strip mu2; below eps 0 nothing snaps and 0.0
+    # counts as negative, so the point lies in the wedge mu4.
+    ("--point=-1,0", "--eps", "0", "--inequality", "signed-barrow"): (0, (
+        '{"inequality":"SignedBarrow30","region":"mu2","lhs":4.414213562373095,'
+        '"rhs":3.7386068458706445,"slack":0.6756067165024504,"tight":false,"terms":['
+        '{"side":"a","weight":2.0301035302564356,"value":1.5307337294603591,'
+        '"contribution":3.1075479480600747},'
+        '{"side":"b","weight":2.0301035302564356,"value":-1.0823922002923942,'
+        '"contribution":-2.1973682269356205},'
+        '{"side":"c","weight":2.121320343559643,"value":1.3333333333333333,'
+        '"contribution":2.8284271247461903}]}\n'), ""),
+    ("--point=-1,0", "--eps=-0.5", "--inequality", "signed-barrow"): (0, (
+        '{"inequality":"SignedBarrow30","region":"mu4","lhs":4.414213562373095,'
+        '"rhs":3.7386068458706445,"slack":0.6756067165024504,"tight":false,"terms":['
+        '{"side":"a","weight":2.0301035302564356,"value":1.5307337294603591,'
+        '"contribution":3.1075479480600747},'
+        '{"side":"b","weight":2.0301035302564356,"value":-1.0823922002923942,'
+        '"contribution":-2.1973682269356205},'
+        '{"side":"c","weight":2.121320343559643,"value":1.3333333333333333,'
+        '"contribution":2.8284271247461903}]}\n'), ""),
+    ("--point=-1,0", "--eps", "0", "--inequality", "lu"): (3, "", (
+        "error: point Point2(x=-1.0, y=0.0) classifies as mu2, not the interior\n")),
+    ("--point=-1,0", "--eps=-0.5", "--inequality", "lu"): (3, "", (
+        "error: point Point2(x=-1.0, y=0.0) classifies as mu4, not the interior\n")),
+    # A point on a vertex takes the vertex bound at every eps.
+    ("--point=0,0", "--eps=-0.5"): (0, (
+        '{"inequality":"VertexA14","region":"vertexA","lhs":2,"rhs":1.4142135623730951,'
+        '"slack":0.5857864376269049,"tight":false,"terms":['
+        '{"side":"a","weight":2,"value":0.7071067811865476,"contribution":1.4142135623730951}]}\n'
+    ), ""),
 }
 
 

@@ -346,6 +346,28 @@ def test_fuzz_does_each_kernel_step_once_per_sample(monkeypatch):
         assert calls == _KERNEL_CALLS[shape]
 
 
+def test_fuzz_binds_the_kernel_once_per_sample(monkeypatch, unit_right):
+    # One kernel bind a sample, a vertex sample too: the fuzz reads every
+    # bound, Dergiades3 included, from the one pass slacks_function binds.
+    binds = []
+    kernel = inequalities._kernel
+
+    def counted(*args):
+        binds.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(inequalities, "_kernel", counted)
+    config = FuzzConfig(n=1000, seed=5)
+    harness._chunk_aggregate(config, 0, config.n)
+    assert len(binds) == config.n
+    thin = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-3))
+    for T, M in [*((unit_right, M) for M in unit_right.vertices), (thin, Point2(0.5, 1e-3 - 5e-13))]:
+        binds.clear()
+        _, slacks = inequalities.slacks_function(T)(*M)
+        assert slacks[0][0].startswith("Vertex") and slacks[1][0] == "Dergiades3"
+        assert len(binds) == 1, (T, M)
+
+
 def _hex_slacks(triples):
     return [(inequality, region, float.hex(slack)) for inequality, region, slack in triples]
 
@@ -727,8 +749,8 @@ def test_search_objective_is_the_report_slack(scalene, inequality):
 
 
 def _report_hex(report):
-    """A report, or the type of what it raised, with every float by its bits."""
-    if isinstance(report, type):
+    """A report, or the type and text of what it raised, with every float by its bits."""
+    if isinstance(report, tuple) and isinstance(report[0], type):
         return report
     inequality, region, lhs, rhs, slack, tight, terms = report
     return (inequality, region, *map(float.hex, (lhs, rhs, slack)), tight,
@@ -753,7 +775,8 @@ def test_bound_report_is_the_reference_report(scalene, eps, tol_factor):
     # Every bound at every finite objective point, classified at a narrow
     # and two wide snap thresholds, and at eps 0 and below, where only the
     # sign a ratio keeps decides: the report of the frame path, or the same
-    # error.
+    # error with the same text (the region an OutsideInterior names, the
+    # vertex a VertexCoincidence names, the point whose distances overflow).
     cases = [(scalene, OBJECTIVE_POINTS), *_underflow_cases()]
     if eps > 0.0:
         cases += _sampled_objective_cases()
@@ -766,7 +789,7 @@ def test_bound_report_is_the_reference_report(scalene, eps, tol_factor):
                 try:
                     reports.append(build(inequality, T, Point2(x, y), eps, tol_factor))
                 except GeometryError as exc:
-                    reports.append(type(exc))
+                    reports.append((type(exc), str(exc)))
             assert _report_hex(reports[0]) == _report_hex(reports[1]), (inequality, T, x, y)
 
 

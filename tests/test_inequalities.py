@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +39,7 @@ from barrow.inequalities import BOUNDS, DEFAULT_TOL_FACTOR, bound_report
 from barrow.regions import OPEN_PATTERNS, VERTEX_REGIONS, classify_pattern
 
 from conftest import points_in, triangles
+import oracles
 
 # Reference slacks recomputed independently through plain trigonometry.
 EVAL_11_LHS = 3.4142135623730949
@@ -490,16 +492,34 @@ def _half_angle(P, Q, M):
     return 0.5 * math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
-def _statement_slack(T, M):
-    """The paper's scalar statement behind the signed bound at M, and R_A + R_B + R_C.
+def _sum_of_squares(kind, p, q, r, beta, gamma):
+    """The slack of statement ``kind`` in the proofs' sum-of-squares form, with alpha = beta + gamma.
 
-    Each signed bisector weighed by its t + 1/t weight is 2 sqrt(R_y R_z)
-    cos(half the angle it bisects), signed by its coordinate.  In the
-    interior that is S1 with p = R_A.  In a strip it is S2 with p the
-    distance to the vertex whose coordinate is negative, in a wedge S3 with
-    p the distance to the vertex whose coordinate is positive: the ray to
-    that vertex splits the angle the other two span.  beta pairs p with r,
-    gamma pairs p with q.
+    S1 and S2 share one form, two squares; S3 adds to two squares a term
+    that is non-negative on its half-range of alpha: -4 sqrt(q r) cos alpha
+    where alpha is obtuse, else 4 sqrt(p r) cos beta.
+    """
+    sp, sq, sr = math.sqrt(p), math.sqrt(q), math.sqrt(r)
+    alpha = beta + gamma
+    ca, sa, cb, sb = math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta)
+    if kind != "S3":
+        return (sr - sp * cb + sq * ca) ** 2 + (sp * sb - sq * sa) ** 2
+    if ca <= 0.0:
+        return (sr + sp * cb + sq * ca) ** 2 + (sp * sb + sq * sa) ** 2 - 4.0 * sq * sr * ca
+    return (sr - sp * cb - sq * ca) ** 2 + (sp * sb + sq * sa) ** 2 + 4.0 * sp * sr * cb
+
+
+def _statement_slack(T, M):
+    """The slack of the paper's scalar statement behind the signed bound at M.
+
+    It returns that slack, the same slack in its sum-of-squares form, and
+    R_A + R_B + R_C.  Each signed bisector weighed by its t + 1/t weight is
+    2 sqrt(R_y R_z) cos(half the angle it bisects), signed by its
+    coordinate.  In the interior that is S1 with p = R_A.  In a strip it is
+    S2 with p the distance to the vertex whose coordinate is negative, in a
+    wedge S3 with p the distance to the vertex whose coordinate is positive:
+    the ray to that vertex splits the angle the other two span.  beta pairs
+    p with r, gamma pairs p with q.
     """
     V = T.vertices
     R = [math.hypot(v.x - M.x, v.y - M.y) for v in V]
@@ -513,7 +533,8 @@ def _statement_slack(T, M):
         kind, k = "S3", signs.index(1)
     i, j = (k + 1) % 3, (k + 2) % 3
     beta, gamma = _half_angle(V[k], V[j], M), _half_angle(V[k], V[i], M)
-    return stmt_slack(kind, R[k], R[i], R[j], beta, gamma), sum(R)
+    args = (kind, R[k], R[i], R[j], beta, gamma)
+    return stmt_slack(*args), _sum_of_squares(*args), sum(R)
 
 
 #: Bound on |slack - statement slack| / (R_A + R_B + R_C): about ten times the
@@ -525,7 +546,8 @@ _REDUCTION_TOL = 1e-14
 def test_signed_bound_is_the_papers_statement_region_by_region():
     # An oracle independent of the bisector closed forms: the slack of the
     # signed bound, and of LuWeighted13 in the interior, is the slack of the
-    # paper's scalar statement S1, S2 or S3 at the half-angles at M; Barrow1's
+    # paper's scalar statement S1, S2 or S3 at the half-angles at M, whose
+    # sum-of-squares form is never negative and is the same slack; Barrow1's
     # interior slack exceeds it by sum (sqrt R_B - sqrt R_C)^2 / sqrt(R_B R_C) * l_a.
     rng = random.Random(11)
     strata = [region.value for region in OPEN_PATTERNS] + ["near-vertex"]
@@ -538,8 +560,9 @@ def test_signed_bound_is_the_papers_statement_region_by_region():
                 rep = evaluate(T, M)
                 if rep.region in VERTEX_REGIONS:
                     continue
-                want, R_sum = _statement_slack(T, M)
+                want, squares, R_sum = _statement_slack(T, M)
                 assert abs(rep.slack - want) <= _REDUCTION_TOL * R_sum, (T, M, rep.region)
+                assert 0.0 <= squares and abs(squares - want) <= _REDUCTION_TOL * R_sum, (T, M)
                 seen.add(rep.region)
                 if rep.region is not Region.LAMBDA0:
                     continue
@@ -552,6 +575,38 @@ def test_signed_bound_is_the_papers_statement_region_by_region():
                 barrow = bound_report(InequalityId.BARROW1, T, M).slack
                 assert abs(barrow - (rep.slack + excess)) <= _REDUCTION_TOL * R_sum, (T, M)
     assert seen == set(OPEN_PATTERNS)
+
+
+#: Bound on |kernel slack - 80-digit reference| / (R_A + R_B + R_C) off the
+#: sidelines: about six times the largest gap measured, 8.5e-16, over seeds 1
+#: to 30 of these draws with 100 triangles of each shape (2400 points a seed).
+_REFERENCE_TOL = 5e-15
+
+
+def test_signed_bound_is_the_high_precision_reference_off_the_sidelines():
+    # The kernel's slack of SignedBarrow30, and of LuWeighted13 in the
+    # interior, against oracles.decimal_signed_slack on the open and
+    # near-vertex strata of every shape.  The sideline strata are left out:
+    # there the float sign of a coordinate, not the point, decides the sign
+    # of a bisector.
+    rng = random.Random(31)
+    strata = [region.value for region in OPEN_PATTERNS] + ["near-vertex"]
+    vertex_labels = {region.value for region in VERTEX_REGIONS}
+    checked = 0
+    for shape in TRIANGLE_SHAPES:
+        for _ in range(100):
+            T = sample_triangle(rng, shape)
+            rows = [inequalities.values_function(T, inequality)
+                    for inequality in (InequalityId.SIGNED_BARROW30, InequalityId.LU_WEIGHTED13)]
+            for stratum in strata:
+                M = sample_point(rng, T, stratum)
+                if rows[0](*M)[2] in vertex_labels:
+                    continue
+                want, R_sum = oracles.decimal_signed_slack(T.A, T.B, T.C, M)
+                for row in filter(None, (row(*M) for row in rows)):
+                    assert abs(Decimal(row[11]) - want) <= Decimal(_REFERENCE_TOL) * R_sum, (T, M)
+                    checked += 1
+    assert checked > 2400
 
 
 def test_a_bad_bound_is_a_domain_error_that_names_it(unit_right):
