@@ -12,10 +12,12 @@ fuzz chunk builds one table of its stratum thresholds.  One fold updates a
 fuzz cell: with each sample's reports in index order, and with each chunk's
 cells in chunk order.
 
-The jobs read one point kernel and build no frame and no report: the scan
-its rows (:func:`~barrow.inequalities.values_function`), the search their
-slack, the fuzz every bound of a sample in one pass, and the samplers
-accept a draw by its label.  Their numbers are the reports', bit for bit.
+The jobs build no frame and no report.  The scan reads the rows of the
+point kernel (:func:`~barrow.inequalities.values_function`), the fuzz every
+bound of a sample from one kernel pass, and the samplers accept a draw by
+the kernel's label.  The search reads its own slack-only closure
+(:func:`~barrow.inequalities.slack_function`), which hands every rare point
+to the row kernel.  Their numbers are the reports', bit for bit.
 """
 
 from __future__ import annotations
@@ -636,14 +638,21 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     SIGNED_BARROW30 at its cell center: the values ``evaluate`` reports
     there, bit for bit.  Vertex-coincident cells report the reduced vertex
     bound, with the two undefined bisector columns as NaN.  Raises
-    DomainError when ``resolution`` is not an int of at least 2, when the
-    box is empty, or when its cells are too wide for floats.
+    DomainError when ``resolution`` is not an int of at least 2, when
+    ``bbox`` is not a tuple or list of four int or float numbers (bools
+    excluded), when the box is empty, or when its cells are too wide for
+    floats.
     """
     # A float or a bool resolution is refused as FuzzConfig refuses one for n.
     if not isinstance(resolution, int) or isinstance(resolution, bool):
         raise DomainError(f"resolution must be an int, got {resolution!r}")
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
+    # A bool would pass as 0 or 1, a string end in a bare TypeError and a
+    # fifth coordinate in an unpacking ValueError.
+    if not (isinstance(bbox, (tuple, list)) and len(bbox) == 4 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox)):
+        raise DomainError(f"bbox must be four int or float numbers, got {bbox!r}")
     x0, y0, x1, y1 = bbox
     if not (x1 > x0 and y1 > y0):
         raise DomainError(f"empty bounding box {bbox}")

@@ -644,6 +644,14 @@ def test_grid_scan_validation(unit_right):
     for resolution in (4.0, 2.5, "4", True, None):
         with pytest.raises(DomainError, match=f"resolution must be an int, got {resolution!r}"):
             grid_scan(unit_right, (0.0, 0.0, 1.0, 1.0), resolution)
+    # True would pass for 1 and reach ScanGrid.bbox, "1" would end in a bare
+    # TypeError and a fifth coordinate in an unpacking ValueError.
+    for bbox in ((0, 0, True, 1), (0.0, 0.0, "1", 1.0), (0.0, 0.0, 1.0, 1.0, 2.0),
+                 (0.0, 0.0, 1.0), (0.0, 0.0, 1.0, None), "0,0,1,1", None):
+        with pytest.raises(DomainError, match="bbox must be four int or float numbers") as info:
+            grid_scan(unit_right, bbox, 4)
+        assert repr(bbox) in str(info.value)
+    assert grid_scan(unit_right, (0, 0, 1, 1), 2).bbox == (0, 0, 1, 1)
 
 
 def test_grid_scan_vertex_cell_has_nan_columns():
@@ -725,6 +733,8 @@ def assert_rows_are_the_reference(inequality, T, points):
 
     Where the reference raises, the kernel raises the same error or, off an
     interior-only bound's domain, returns None; the search's slack is inf.
+    Elsewhere the search's slack is the reference's, whether its slack-only
+    closure evaluates the point or hands it to the row kernel.
     """
     row = inequalities.values_function(T, inequality)
     objective = inequalities.slack_function(T, inequality)
@@ -746,6 +756,95 @@ def test_search_objective_is_the_report_slack(scalene, inequality):
     # a report; the frame path the kernel replaced is the reference.
     for T, points in [(scalene, OBJECTIVE_POINTS), *_sampled_objective_cases()]:
         assert_rows_are_the_reference(inequality, T, points)
+
+
+def _handoff_cases():
+    """The underflow points, and an interior point of a triangle 1e-160 wide.
+
+    There the product 2 R_B R_C of the half-angle bisector form underflows
+    and ``_bisector``'s cross-check raises NumericalError: for the bounds
+    with bisector terms the reference raises it and the search's slack is
+    inf; the two distance bounds read a finite slack.
+    """
+    tiny = Triangle(Point2(0.0, 0.0), Point2(1e-160, 0.0), Point2(0.0, 1e-160))
+    return [*_underflow_cases(), (tiny, [(3e-161, 3e-161)])]
+
+
+@pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
+def test_search_objective_hands_rare_points_to_the_row_kernel(inequality):
+    # A ratio that underflowed to zero snaps, so its point goes to the row
+    # kernel; a NumericalError of the closure's own bisectors reads as inf.
+    for T, points in _handoff_cases():
+        assert_rows_are_the_reference(inequality, T, points)
+
+
+def _counting_row_calls(monkeypatch) -> dict:
+    """Calls of the search's objectives, and of the row kernel they hand points to, from here on."""
+    calls = {"objective": 0, "row": 0}
+    kernel, slack_function = inequalities._kernel, inequalities.slack_function
+
+    def counted_kernel(*args):
+        row = kernel(*args)
+
+        def counted(x, y):
+            calls["row"] += 1
+            return row(x, y)
+        return counted
+
+    def counted_slack_function(T, inequality):
+        # Only the objective's own kernel is counted, not the samplers'.
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "_kernel", counted_kernel)
+            objective = slack_function(T, inequality)
+
+        def counted(x, y):
+            calls["objective"] += 1
+            return objective(x, y)
+        return counted
+
+    monkeypatch.setattr(harness, "slack_function", counted_slack_function)
+    return calls
+
+
+def _handed_off(T, inequality, x, y) -> bool:
+    """Whether the search's objective hands a finite (x, y) to the row kernel.
+
+    A whole-plane bound hands over a point that snaps onto a sideline or
+    lies on a vertex; an interior-only bound reads inf off its open
+    interior and hands over an interior point on a vertex.
+    """
+    F = PointFrame(T, Point2(x, y))
+    pattern = regions.sign_pattern(F)
+    if inequality in inequalities.INTERIOR_IDS:
+        return pattern == (1, 1, 1) and F.vertex is not None
+    return 0 in pattern or F.vertex is not None
+
+
+def test_search_takes_the_common_path(scalene, monkeypatch):
+    # Every point the searches visit is evaluated by the slack-only closure.
+    calls = _counting_row_calls(monkeypatch)
+    for inequality in inequalities.BOUNDS:
+        calls.update(objective=0, row=0)
+        tightness_search(scalene, inequality, starts=14)
+        assert calls["objective"] > 2000 and calls["row"] == 0, (inequality, calls)
+    # The rare points of the sampled cases do reach the row kernel, once
+    # each: for the whole-plane bounds every vertex and every sideline
+    # point that snaps (two of the near-degenerate ones do not).
+    side, vertices = 3 * STRATA.index("sideline"), 3 * len(STRATA)
+    rare = {*range(side, side + 3), *range(vertices, vertices + 3)}
+    reached = dict.fromkeys(inequalities.BOUNDS, 0)
+    for T, points in _sampled_objective_cases():
+        for inequality in inequalities.BOUNDS:
+            objective = harness.slack_function(T, inequality)
+            for k, (x, y) in enumerate(points):
+                calls["row"] = 0
+                objective(x, y)
+                assert calls["row"] == _handed_off(T, inequality, x, y), (inequality, T, x, y)
+                if k in rare:
+                    reached[inequality] += calls["row"]
+    whole_plane = {inequality: 88 + 90 for inequality in inequalities.BOUNDS
+                   if inequality not in inequalities.INTERIOR_IDS}
+    assert reached == dict.fromkeys(inequalities.INTERIOR_IDS, 0) | whole_plane
 
 
 def _report_hex(report):
