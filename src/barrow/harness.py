@@ -74,6 +74,14 @@ _BLOCK = 64
 DEFAULT_STARTS = 14
 
 
+def _finite(value: int | float) -> bool:
+    """``math.isfinite``, False for an int beyond the float range instead of an OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     """Parameters of one fuzzing run; two equal configs give equal reports."""
@@ -97,7 +105,7 @@ class FuzzConfig:
         if not isinstance(self.tol_factor, (int, float)) or isinstance(self.tol_factor, bool):
             raise DomainError(f"tol_factor must be an int or a float, got {self.tol_factor!r}")
         # NaN would flag no violation, and neither it nor inf is JSON.
-        if not math.isfinite(self.tol_factor):
+        if not _finite(self.tol_factor):
             raise DomainError(f"tol_factor must be finite, got {self.tol_factor}")
         if self.triangle_shape not in TRIANGLE_SHAPES:
             raise DomainError(
@@ -120,7 +128,7 @@ class FuzzConfig:
                 raise DomainError(
                     f"proportion for stratum {name!r} must be an int or a float, got {share!r}"
                 )
-            if not (math.isfinite(share) and share >= 0.0):
+            if not (_finite(share) and share >= 0.0):
                 raise DomainError(
                     f"proportion for stratum {name!r} must be finite and non-negative, got {share}"
                 )
@@ -465,7 +473,10 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     split into at most ``workers`` chunks, served by at most one process per
     CPU.
     """
-    chunk = _BLOCK * math.ceil(math.ceil(config.n / _BLOCK) / max(1, workers))
+    # Integer ceilings: a float quotient overflows for a huge n and rounds
+    # to a zero chunk for a huge worker count.
+    blocks = -(-config.n // _BLOCK)
+    chunk = _BLOCK * -(-blocks // max(1, workers))
     bounds = [(lo, min(lo + chunk, config.n)) for lo in range(0, config.n, chunk)]
     parts = None
     if len(bounds) > 1:
@@ -656,13 +667,17 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     x0, y0, x1, y1 = bbox
     if not (x1 > x0 and y1 > y0):
         raise DomainError(f"empty bounding box {bbox}")
-    dx = (x1 - x0) / resolution
-    dy = (y1 - y0) / resolution
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise DomainError(f"bounding box {bbox} is too wide: its cell size overflows")
+    try:
+        dx = (x1 - x0) / resolution
+        dy = (y1 - y0) / resolution
+        xs = [x0 + (ix + 0.5) * dx for ix in range(resolution)]
+        ys = [y0 + (iy + 0.5) * dy for iy in range(resolution)]
+        too_wide = not (math.isfinite(dx) and math.isfinite(dy))
+    except OverflowError:  # an int beyond the float range raises where a float reads inf
+        too_wide = True
+    if too_wide:
+        raise DomainError(f"bounding box {bbox} is too wide: its cells overflow the float range")
     row = values_function(T, InequalityId.SIGNED_BARROW30)
-    xs = [x0 + (ix + 0.5) * dx for ix in range(resolution)]
-    ys = [y0 + (iy + 0.5) * dy for iy in range(resolution)]
     # ``tuple.__new__`` builds the same row as ``ScanRow(...)`` without the
     # generated ``__new__``, a Python function.
     rows = [tuple.__new__(ScanRow, row(x, y)) for y in ys for x in xs]

@@ -8,11 +8,11 @@ crosses, without a :class:`~barrow.geom.PointFrame`, in one pass per point
 that snaps its sign pattern once and computes each term once, rare branches
 (a snapped pattern, a vertex, overflowing distances) included.  The scan
 reads its rows, and the fuzz every bound of a sample from one pass through
-:func:`slacks_function`.  The search reads its own slack-only closure,
-:func:`slack_function`: bound per bound, it computes the slack of a common
-point in the row's float operations and builds no row, and hands every
-rare point to the row kernel.  Only :func:`bound_report` builds an
-:class:`InequalityReport`, from one kernel row: the slack ``lhs - rhs``
+:func:`slacks_function`.  The search reads one slack-only closure for
+every bound, :func:`slack_function`, bound per bound: it computes the slack
+of a common point in the row's float operations and builds no row, and
+hands every rare point to the row kernel.  Only :func:`bound_report` builds
+an :class:`InequalityReport`, from one kernel row: the slack ``lhs - rhs``
 (non-negative for all valid inputs, up to floating-point tolerance; that
 non-negativity is the property the rest of the repository tests),
 ``tight`` and one :class:`Term` per rhs part, naming its side ``a``, ``b``
@@ -418,13 +418,14 @@ def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
 
     It is inf wherever that call raises GeometryError or ValueError, and off
     the bound's domain.  The search's objective, a slack-only closure with
-    the bound's domain, terms and weights fixed when T is bound: at a point
-    whose sign pattern is open, whose squared distances are finite and
-    which lies farther than ``COINCIDENCE_FACTOR`` times the diameter from
-    every vertex, it returns ``lhs - rhs`` in the float operations and order
-    of :func:`values_function`'s row, and builds no row.  An interior-only
-    bound is inf at once off its open interior.  Every other point is
-    handed to the row kernel, whose row's slack it returns.
+    the bound's domain, terms and weights fixed when T is bound, one closure
+    for all five bounds: at a point whose sign pattern is open, whose squared
+    distances are finite and which lies farther than ``COINCIDENCE_FACTOR``
+    times the diameter from every vertex, it returns ``lhs - rhs`` in the
+    float operations and order of :func:`values_function`'s row, and builds
+    no row.  An interior-only bound is inf at once off its open interior; a
+    whole-plane bound signs its bisectors by the point's ratios.  Every other
+    point is handed to the row kernel, whose row's slack it returns.
     """
     rule = _rule(inequality)
     row = _kernel(T, rule, DEFAULT_EPS)
@@ -447,47 +448,20 @@ def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
             return inf
         return inf if values is None else values[11]
 
-    if interior_only:
-        def slack(x: float, y: float) -> float:
-            ax, ay = Ax - x, Ay - y
-            bx, by = Bx - x, By - y
-            cx, cy = Cx - x, Cy - y
-            k_a, k_b, k_c = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
-            if not (k_a / 2.0 / area > hi and k_b / 2.0 / area > hi and k_c / 2.0 / area > hi):
-                return inf
-            R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
-            far = R_B if R_B > R_A else R_A
-            far = R_C if R_C > far else far
-            if not (R_A > near and R_B > near and R_C > near) or 2.0 * far * far == inf:
-                return rare(x, y)
-            lhs = R_A + R_B + R_C
-            if distances:
-                d_a, d_b, d_c = s2 * (k_a / 2.0) / a, s2 * (k_b / 2.0) / b, s2 * (k_c / 2.0) / c
-                return lhs - (0.0 + w_a * d_a + w_b * d_b + w_c * d_c)
-            try:
-                l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
-                l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
-                l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
-            except GeometryError:
-                return inf
-            if weighted:
-                return lhs - (0.0 + (sqrt(R_C / R_B) + sqrt(R_B / R_C)) * l_a
-                              + (sqrt(R_A / R_C) + sqrt(R_C / R_A)) * l_b
-                              + (sqrt(R_B / R_A) + sqrt(R_A / R_B)) * l_c)
-            return lhs - (0.0 + w_a * l_a + w_b * l_b + w_c * l_c)
-
-        return slack
-
     def slack(x: float, y: float) -> float:
         ax, ay = Ax - x, Ay - y
         bx, by = Bx - x, By - y
         cx, cy = Cx - x, Cy - y
         k_a, k_b, k_c = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
-        u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
-        # (-1, -1, -1) is no region: the row kernel raises ValueError there.
-        if (not ((u > hi or u < lo) and (v > hi or v < lo) and (w > hi or w < lo))
-                or u < 0.0 and v < 0.0 and w < 0.0):
-            return rare(x, y)
+        if interior_only:
+            if not (k_a / 2.0 / area > hi and k_b / 2.0 / area > hi and k_c / 2.0 / area > hi):
+                return inf
+        else:
+            u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
+            # (-1, -1, -1) is no region: the row kernel raises ValueError there.
+            if (not ((u > hi or u < lo) and (v > hi or v < lo) and (w > hi or w < lo))
+                    or u < 0.0 and v < 0.0 and w < 0.0):
+                return rare(x, y)
         R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
         far = R_B if R_B > R_A else R_A
         far = R_C if R_C > far else far
@@ -503,7 +477,8 @@ def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
             l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
         except GeometryError:
             return inf
-        l_a, l_b, l_c = -l_a if u < 0.0 else l_a, -l_b if v < 0.0 else l_b, -l_c if w < 0.0 else l_c
+        if not interior_only:
+            l_a, l_b, l_c = -l_a if u < 0.0 else l_a, -l_b if v < 0.0 else l_b, -l_c if w < 0.0 else l_c
         if weighted:
             return lhs - (0.0 + (sqrt(R_C / R_B) + sqrt(R_B / R_C)) * l_a
                           + (sqrt(R_A / R_C) + sqrt(R_C / R_A)) * l_b

@@ -165,6 +165,12 @@ def test_fuzz_config_validation():
         with pytest.raises(DomainError, match="tol_factor must be an int or a float"):
             FuzzConfig(n=10, seed=1, tol_factor=tol_factor)
     assert FuzzConfig(n=10, seed=1, tol_factor=0).tol_factor == 0
+    # An int beyond the float range is not finite either: math.isfinite
+    # would raise OverflowError on it.
+    with pytest.raises(DomainError, match="tol_factor must be finite"):
+        FuzzConfig(n=10, seed=1, tol_factor=10**400)
+    with pytest.raises(DomainError, match="stratum 'lambda0' must be finite"):
+        FuzzConfig(n=10, seed=1, region_mix={"lambda0": 10**400})
 
 
 def _fixed_draw(x):
@@ -264,6 +270,19 @@ def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
     report = fuzz(config, workers=10_000)
     assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
     assert fuzz_snapshot(report) == fuzz_snapshot(fuzz(config, workers=1))
+
+
+def test_fuzz_cuts_chunks_in_integer_arithmetic(monkeypatch):
+    # A worker count beyond the float range still cuts whole-block chunks:
+    # two blocks make two chunks, so at most two processes start.
+    config = FuzzConfig(n=100, seed=1)
+    assert fuzz_snapshot(fuzz(config, workers=10**400)) == fuzz_snapshot(fuzz(config, workers=1))
+    # So does a sample count beyond it: one worker takes one chunk.
+    bounds = []
+    monkeypatch.setattr(harness, "_chunk_aggregate",
+                        lambda config, lo, hi: bounds.append((lo, hi)) or ({}, []))
+    fuzz(FuzzConfig(n=10**400, seed=1))
+    assert bounds == [(0, 10**400)]
 
 
 class _PoolWontStart:
@@ -680,6 +699,13 @@ def test_grid_scan_rejects_overflowing_cells(scalene):
         grid_scan(scalene, (-1e308, 0.0, 1e308, 1.0), 2)
     with pytest.raises(DomainError, match="too wide"):
         grid_scan(scalene, (0.0, -1e308, 1.0, 1e308), 2)
+    # An int box coordinate beyond the float range overflows in the int to
+    # float conversion instead of reading inf: in the cell size, or in the
+    # cell centers of a narrow box.
+    with pytest.raises(DomainError, match="too wide"):
+        grid_scan(scalene, (0, 0, 10**400, 1), 2)
+    with pytest.raises(DomainError, match="too wide"):
+        grid_scan(scalene, (10**400, 0, 10**400 + 1, 1), 2)
 
 
 def same_bits(a, b):
@@ -776,6 +802,31 @@ def test_search_objective_hands_rare_points_to_the_row_kernel(inequality):
     # kernel; a NumericalError of the closure's own bisectors reads as inf.
     for T, points in _handoff_cases():
         assert_rows_are_the_reference(inequality, T, points)
+
+
+@pytest.mark.parametrize("inequality", sorted(inequalities.INTERIOR_IDS, key=lambda i: i.value),
+                         ids=lambda i: i.value)
+def test_search_objective_is_inf_off_the_interior_at_once(scalene, monkeypatch, inequality):
+    # An interior-only bound reads inf in a strip or a wedge from the three
+    # crosses alone: no distance and no bisector is computed there.
+    outside = OBJECTIVE_POINTS[1:7]  # the six strips and wedges
+    assert {classify_frame(PointFrame(scalene, Point2(*M))) for M in outside} == {
+        region for region in OPEN_PATTERNS if region is not Region.LAMBDA0}
+    calls = {"hypot": 0, "bisector": 0}
+    hypot, bisector = math.hypot, inequalities._bisector
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    # The closure binds hypot when the triangle is bound, so patch first.
+    monkeypatch.setattr(math, "hypot", counted("hypot", hypot))
+    monkeypatch.setattr(inequalities, "_bisector", counted("bisector", bisector))
+    objective = inequalities.slack_function(scalene, inequality)
+    assert [objective(x, y) for x, y in outside] == [math.inf] * 6
+    assert calls == {"hypot": 0, "bisector": 0}
 
 
 def _counting_row_calls(monkeypatch) -> dict:
