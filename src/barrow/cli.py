@@ -18,7 +18,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 
 from .errors import GeometryError, UsageError
 from .geom import Point2, PointFrame, Triangle
@@ -257,6 +256,7 @@ def _replacing(path: str):
             with open(real, "w", encoding="ascii", newline="") as stream:
                 yield stream
             return
+        import tempfile  # only a replaced file needs it
         fd, tmp = tempfile.mkstemp(prefix=".barrow-", suffix=".tmp", dir=os.path.dirname(real))
         try:
             with open(fd, "w", encoding="ascii", newline="") as stream:

@@ -18,6 +18,10 @@ bound of a sample from one kernel pass, and the samplers accept a draw by
 the kernel's label.  The search reads its own slack-only closure
 (:func:`~barrow.inequalities.slack_function`), which hands every rare point
 to the row kernel.  Their numbers are the reports', bit for bit.
+
+The config, the fuzz report and the scan grid are named tuples, like every
+value record of the package.  Only a fuzz that starts a process pool
+imports one, so importing this module loads no pool machinery.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, GeometryError
@@ -74,67 +76,84 @@ _BLOCK = 64
 DEFAULT_STARTS = 14
 
 
-def _finite(value: int | float) -> bool:
-    """``math.isfinite``, False for an int beyond the float range instead of an OverflowError."""
+def _shown(value) -> str:
+    """``repr(value)`` for a message, with an int too long to print named by its size."""
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        return repr(value)
+    except ValueError:  # more digits than ``sys.get_int_max_str_digits()``
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        items = ", ".join(map(_shown, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    """Parameters of one fuzzing run; two equal configs give equal reports."""
+def _check_number(value, what: str, non_negative: bool = False) -> None:
+    """Raise DomainError unless ``value`` is a finite int or float, and ``>= 0`` if asked.
 
+    A bool would be written to the JSON as true or pass for a share of 1 or
+    0; a string or None would reach ``math.isfinite``.  A NaN tolerance flags
+    no violation, a NaN share passes the sum test, and neither NaN nor inf is JSON.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an int or a float, got {_shown(value)}")
+    try:
+        valid = math.isfinite(value) and (value >= 0.0 or not non_negative)
+    except OverflowError:  # an int beyond the float range is not finite either
+        valid = False
+    if not valid:
+        rule = "finite and non-negative" if non_negative else "finite"
+        raise DomainError(f"{what} must be {rule}, got {_shown(value)}")
+
+
+class _FuzzFields(NamedTuple):
     n: int
     seed: int
-    tol_factor: float = DEFAULT_TOL_FACTOR
-    region_mix: dict = field(default_factory=lambda: dict(DEFAULT_REGION_MIX))
-    triangle_shape: str = "random"
+    tol_factor: float
+    region_mix: dict
+    triangle_shape: str
 
-    def __post_init__(self):
-        for name in ("n", "seed"):
-            value = getattr(self, name)
+
+class FuzzConfig(_FuzzFields):
+    """Parameters of one fuzzing run; two equal configs give equal reports."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, seed: int, tol_factor: float = DEFAULT_TOL_FACTOR,
+                region_mix: dict = DEFAULT_REGION_MIX, triangle_shape: str = "random"):
+        for name, value in (("n", n), ("seed", seed)):
             # bool is an int subclass; 1.0 would name another stream than 1.
             if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an int, got {value!r}")
-        if self.n < 1:
-            raise DomainError(f"sample count must be >= 1, got {self.n}")
-        # A bool would be written to the JSON as true; a string or None
-        # would reach math.isfinite.
-        if not isinstance(self.tol_factor, (int, float)) or isinstance(self.tol_factor, bool):
-            raise DomainError(f"tol_factor must be an int or a float, got {self.tol_factor!r}")
-        # NaN would flag no violation, and neither it nor inf is JSON.
-        if not _finite(self.tol_factor):
-            raise DomainError(f"tol_factor must be finite, got {self.tol_factor}")
-        if self.triangle_shape not in TRIANGLE_SHAPES:
+                raise DomainError(f"{name} must be an int, got {_shown(value)}")
+        if n < 1:
+            raise DomainError(f"sample count must be >= 1, got {_shown(n)}")
+        _check_number(tol_factor, "tol_factor")
+        if triangle_shape not in TRIANGLE_SHAPES:
             raise DomainError(
-                f"unknown triangle shape {self.triangle_shape!r}, expected one of {TRIANGLE_SHAPES}"
+                f"unknown triangle shape {_shown(triangle_shape)}, expected one of {TRIANGLE_SHAPES}"
             )
         # A list has no ``get``; a bool share would pass for 1 or 0.
-        if not isinstance(self.region_mix, dict):
-            raise DomainError(f"region_mix must be a dict, got {self.region_mix!r}")
+        if not isinstance(region_mix, dict):
+            raise DomainError(f"region_mix must be a dict, got {_shown(region_mix)}")
         # The config keeps its own copy, so a change to the caller's dict
         # after validation reaches no run.  A dict, not a read-only view,
         # because the chunks are pickled to the workers.
-        object.__setattr__(self, "region_mix", dict(self.region_mix))
-        unknown = set(self.region_mix) - set(STRATA)
+        region_mix = dict(region_mix)
+        unknown = set(region_mix) - set(STRATA)
         if unknown:
-            raise DomainError(f"unknown region-mix strata {sorted(unknown)}")
+            raise DomainError(f"unknown region-mix strata {_shown(sorted(unknown))}")
         total = 0.0
         for name in STRATA:
-            share = self.region_mix.get(name, 0.0)
-            if not isinstance(share, (int, float)) or isinstance(share, bool):
-                raise DomainError(
-                    f"proportion for stratum {name!r} must be an int or a float, got {share!r}"
-                )
-            if not (_finite(share) and share >= 0.0):
-                raise DomainError(
-                    f"proportion for stratum {name!r} must be finite and non-negative, got {share}"
-                )
+            share = region_mix.get(name, 0.0)
+            _check_number(share, f"proportion for stratum {name!r}", non_negative=True)
             total += share
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"region-mix proportions sum to {total}, expected 1")
+        return tuple.__new__(cls, (n, seed, tol_factor, region_mix, triangle_shape))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, unpickling through ``__new__``: both check.
+        return cls(*iterable)
 
 
 def sample_triangle(
@@ -214,7 +233,7 @@ def sample_triangle(
                 continue
         return Triangle(*(Point2(x, y) for x, y in base))
 
-    raise DomainError(f"unknown triangle shape {shape!r}")
+    raise DomainError(f"unknown triangle shape {_shown(shape)}")
 
 
 #: The plan of each open region's sampler, by label: the indices of its
@@ -318,7 +337,7 @@ def _sample(rng: random.Random, T: Triangle, target, point: Callable) -> tuple:
     elif target == "near-vertex":
         M = _sample_near_vertex_point(rng, T)
     else:
-        raise DomainError(f"unknown sampling target {target!r}")
+        raise DomainError(f"unknown sampling target {_shown(target)}")
     return M, point(*M)
 
 
@@ -432,8 +451,7 @@ def _chunk_aggregate(config: FuzzConfig, lo: int, hi: int) -> tuple[dict, list]:
     return cells, violations
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     """Aggregated fuzz outcome; a pure function of the config."""
 
     config: FuzzConfig
@@ -481,6 +499,7 @@ def fuzz(config: FuzzConfig, workers: int = 1) -> FuzzReport:
     parts = None
     if len(bounds) > 1:
         try:
+            from concurrent.futures import ProcessPoolExecutor  # loaded by a pool run only
             with ProcessPoolExecutor(max_workers=min(len(bounds), os.cpu_count() or 1)) as pool:
                 parts = list(
                     pool.map(_chunk_aggregate, [config] * len(bounds), *zip(*bounds))
@@ -587,12 +606,12 @@ def tightness_search(
     objective = slack_function(T, inequality)
     # A float or a bool start count is refused as FuzzConfig refuses one for n.
     if not isinstance(starts, int) or isinstance(starts, bool):
-        raise DomainError(f"starts must be an int, got {starts!r}")
+        raise DomainError(f"starts must be an int, got {_shown(starts)}")
     if starts < 1:
-        raise DomainError(f"starts must be >= 1, got {starts}")
+        raise DomainError(f"starts must be >= 1, got {_shown(starts)}")
     # None would seed from os.urandom, so equal calls would differ.
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an int, got {seed!r}")
+        raise DomainError(f"seed must be an int, got {_shown(seed)}")
     rng = random.Random(seed)
     cycle = (Region.LAMBDA0,) if inequality in INTERIOR_IDS else tuple(OPEN_PATTERNS)
     best_pt = None
@@ -626,8 +645,7 @@ class ScanRow(NamedTuple):
     slack: float
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(NamedTuple):
     """Row-major cell-center scan of a bounding box (y varies slowest).
 
     ``rows`` holds ``resolution**2`` rows, one grid line of ``resolution``
@@ -656,17 +674,17 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     """
     # A float or a bool resolution is refused as FuzzConfig refuses one for n.
     if not isinstance(resolution, int) or isinstance(resolution, bool):
-        raise DomainError(f"resolution must be an int, got {resolution!r}")
+        raise DomainError(f"resolution must be an int, got {_shown(resolution)}")
     if resolution < 2:
-        raise DomainError(f"resolution must be >= 2, got {resolution}")
+        raise DomainError(f"resolution must be >= 2, got {_shown(resolution)}")
     # A bool would pass as 0 or 1, a string end in a bare TypeError and a
     # fifth coordinate in an unpacking ValueError.
     if not (isinstance(bbox, (tuple, list)) and len(bbox) == 4 and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox)):
-        raise DomainError(f"bbox must be four int or float numbers, got {bbox!r}")
+        raise DomainError(f"bbox must be four int or float numbers, got {_shown(bbox)}")
     x0, y0, x1, y1 = bbox
     if not (x1 > x0 and y1 > y0):
-        raise DomainError(f"empty bounding box {bbox}")
+        raise DomainError(f"empty bounding box {_shown(bbox)}")
     try:
         dx = (x1 - x0) / resolution
         dy = (y1 - y0) / resolution
@@ -676,7 +694,7 @@ def grid_scan(T: Triangle, bbox: tuple[float, float, float, float], resolution: 
     except OverflowError:  # an int beyond the float range raises where a float reads inf
         too_wide = True
     if too_wide:
-        raise DomainError(f"bounding box {bbox} is too wide: its cells overflow the float range")
+        raise DomainError(f"bounding box {_shown(bbox)} is too wide: its cells overflow the float range")
     row = values_function(T, InequalityId.SIGNED_BARROW30)
     # ``tuple.__new__`` builds the same row as ``ScanRow(...)`` without the
     # generated ``__new__``, a Python function.

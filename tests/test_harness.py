@@ -1,9 +1,13 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
 import os
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
@@ -265,7 +269,7 @@ def test_fuzz_pool_is_bounded_by_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     config = FuzzConfig(n=300, seed=13)
     report = fuzz(config, workers=10_000)
     assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
@@ -308,8 +312,81 @@ class _PoolBreaks:
 def test_fuzz_falls_back_to_the_same_report_without_a_pool(monkeypatch, pool):
     config = FuzzConfig(n=300, seed=13)
     sequential = fuzz_snapshot(fuzz(config, workers=1))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     assert fuzz_snapshot(fuzz(config, workers=3)) == sequential
+
+
+#: What ``ProcessPoolExecutor`` (concurrent.futures, multiprocessing),
+#: dataclasses (inspect) and the CLI's file writes (tempfile) load; importing
+#: barrow loads none of them.
+POOL_MACHINERY = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "tempfile")
+
+
+def test_import_loads_no_pool_until_a_fuzz_starts_one():
+    # A fresh interpreter without site, which would import tempfile itself.
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    script = f"""
+import sys
+sys.path.insert(0, {src!r})
+import barrow, barrow.cli, barrow.svgmap
+loaded = [name for name in {POOL_MACHINERY!r} if name in sys.modules]
+assert not loaded, loaded
+config = barrow.FuzzConfig(n=300, seed=13)
+assert barrow.fuzz(config, workers=2).to_json_dict() == barrow.fuzz(config).to_json_dict()
+"""
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_fuzz_config_is_a_validating_named_tuple():
+    config = FuzzConfig(n=10, seed=1)
+    # The string the frozen dataclass printed.
+    assert repr(config) == (
+        "FuzzConfig(n=10, seed=1, tol_factor=1e-09, region_mix={'lambda0': 0.19, 'mu1': 0.1, "
+        "'mu2': 0.1, 'mu3': 0.1, 'mu4': 0.1, 'mu5': 0.1, 'mu6': 0.1, 'sideline': 0.12, "
+        "'near-vertex': 0.09}, triangle_shape='random')"
+    )
+    assert config == (10, 1, 1e-9, DEFAULT_REGION_MIX, "random")
+    # Every way to build one checks the fields and copies the mix.
+    unchecked = tuple.__new__(FuzzConfig, (0, *config[1:]))
+    for build in (lambda: config._replace(n=0), lambda: FuzzConfig._make(unchecked),
+                  lambda: pickle.loads(pickle.dumps(unchecked))):
+        with pytest.raises(DomainError, match="sample count must be >= 1, got 0"):
+            build()
+    for copy in (config._replace(seed=2), FuzzConfig._make(config),
+                 pickle.loads(pickle.dumps(config)), FuzzConfig(*config)):
+        assert copy.region_mix == config.region_mix and copy.region_mix is not config.region_mix
+    assert config.region_mix is not DEFAULT_REGION_MIX
+    # It holds a dict, so it stays unhashable, and it stays read-only.
+    with pytest.raises(TypeError):
+        hash(config)
+    with pytest.raises(AttributeError):
+        config.n = 5
+    with pytest.raises(AttributeError):
+        config.workers = 2
+
+
+def test_oversized_ints_reach_their_domain_error(scalene):
+    # repr() refuses an int of more than 4300 digits; the message names its size.
+    huge = 10**5000
+    for build in (lambda: FuzzConfig(n=10, seed=1, tol_factor=huge),
+                  lambda: FuzzConfig(n=10, seed=1, region_mix={"lambda0": huge}),
+                  lambda: FuzzConfig(n=-huge, seed=1),
+                  lambda: grid_scan(scalene, (0, 0, huge, 1), 2),
+                  lambda: grid_scan(scalene, [huge, 0, 0, 1], 2),
+                  lambda: grid_scan(scalene, (0, 0, 1, 1, huge), 2),
+                  lambda: FuzzConfig(n=10, seed=1, triangle_shape=huge),
+                  lambda: FuzzConfig(n=10, seed=1, region_mix={huge: 1.0}),
+                  lambda: grid_scan(scalene, (0, 0, 1, 1), -huge),
+                  lambda: tightness_search(scalene, InequalityId.BARROW1, starts=-huge)):
+        with pytest.raises(DomainError, match="<int of 16610 bits>"):
+            build()
+    # An ordinary value keeps its message.
+    with pytest.raises(DomainError, match=r"^empty bounding box \[1, 0, 0, 1\]$"):
+        grid_scan(scalene, [1, 0, 0, 1], 2)
+    with pytest.raises(DomainError, match=r"^sample count must be >= 1, got -3$"):
+        FuzzConfig(n=-3, seed=1)
+
 
 def _counting_frames(monkeypatch) -> list:
     """The points of the frames built from here on, one per ``PointFrame.__init__``."""
