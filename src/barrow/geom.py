@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateTriangle, DomainError, VertexCoincidence
+from .errors import DegenerateTriangle, DomainError, VertexCoincidence, _shown
 
 #: A triangle is rejected when |signed area| <= this factor times diameter^2.
 DEGENERACY_FACTOR = 1e-12
@@ -33,9 +33,12 @@ class Point2(_XY):
     __slots__ = ()
 
     def __new__(cls, x: float, y: float):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
-        return tuple.__new__(cls, (x, y))
+        try:
+            if math.isfinite(x) and math.isfinite(y):
+                return tuple.__new__(cls, (x, y))
+        except OverflowError:  # an int beyond the float range is not finite either
+            pass
+        raise ValueError(f"point coordinates must be finite, got ({_shown(x)}, {_shown(y)})")
 
     @classmethod
     def _make(cls, iterable):
@@ -151,7 +154,7 @@ class PointFrame:
     """What the library reads about a point M against a triangle T, computed once.
 
     With the M-relative vertex vectors a = A - M, b = B - M, c = C - M:
-    ``R`` = (|a|, |b|, |c|) with sum ``R_sum``; ``cross`` = (b×c, c×a, a×b),
+    ``R`` = (|a|, |b|, |c|); ``cross`` = (b×c, c×a, a×b),
     twice the signed areas of (M, B, C), (M, C, A), (M, A, B); ``dot`` =
     (b·c, c·a, a·b); ``u, v, w`` the barycentric coordinates, the crosses
     over twice the area (so a frame reads like :class:`BaryCoords`);
@@ -162,7 +165,7 @@ class PointFrame:
     DomainError when the squared distances from M to the vertices overflow.
     """
 
-    __slots__ = ("T", "M", "R", "R_sum", "cross", "dot", "u", "v", "w", "vertex")
+    __slots__ = ("T", "M", "R", "cross", "dot", "u", "v", "w", "vertex")
 
     def __init__(self, T: Triangle, M: Point2):
         mx, my = M
@@ -172,31 +175,20 @@ class PointFrame:
         cx, cy = Cx - mx, Cy - my
         self.T = T
         self.M = M
-        R_A, R_B, R_C = math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy)
-        self.R = R = (R_A, R_B, R_C)
-        # ``_check_far`` and ``_keep_sign`` are called only where they can
-        # act: on an overflowing square and on a zero ratio.  No distance is
-        # NaN, so the comparisons pick what max and min would.
-        far = R_B if R_B > R_A else R_A
-        far = R_C if R_C > far else far
-        if 2.0 * far * far == math.inf:
-            _check_far(M, R)
-        self.R_sum = R_A + R_B + R_C
+        self.R = R = (math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
+        _check_far(M, R)
         self.cross = (k_a, k_b, k_c) = (bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx)
         self.dot = (bx * cx + by * cy, cx * ax + cy * ay, ax * bx + ay * by)
-        area = T.area
-        u, v, w = k_a / 2.0 / area, k_b / 2.0 / area, k_c / 2.0 / area
-        if not (u and v and w):
-            s = T.orient_sign
-            u, v, w = _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
-        self.u, self.v, self.w = u, v, w
-        nearest = R_B if R_B < R_A else R_A
-        nearest = R_C if R_C < nearest else nearest
+        area, s = T.area, T.orient_sign
+        self.u = _keep_sign(k_a / 2.0 / area, k_a, s)
+        self.v = _keep_sign(k_b / 2.0 / area, k_b, s)
+        self.w = _keep_sign(k_c / 2.0 / area, k_c, s)
+        nearest = min(R)
         self.vertex = R.index(nearest) if nearest <= COINCIDENCE_FACTOR * T.diameter else None
 
-    def check_not_vertex(self, allow: int | None = None) -> None:
-        """Raise VertexCoincidence if M sits on a vertex other than ``allow``."""
-        if self.vertex is not None and self.vertex != allow:
+    def check_not_vertex(self) -> None:
+        """Raise VertexCoincidence if M sits on a vertex."""
+        if self.vertex is not None:
             name = "ABC"[self.vertex]
             raise VertexCoincidence(f"point {self.M} coincides with vertex {name}", vertex=name)
 

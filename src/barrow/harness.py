@@ -31,7 +31,7 @@ import os
 import random
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, _check_number, _shown
 from .geom import Point2, Triangle, side_coordinate
 from .inequalities import (
     DEFAULT_TOL_FACTOR,
@@ -76,35 +76,6 @@ _BLOCK = 64
 DEFAULT_STARTS = 14
 
 
-def _shown(value) -> str:
-    """``repr(value)`` for a message, with an int too long to print named by its size."""
-    try:
-        return repr(value)
-    except ValueError:  # more digits than ``sys.get_int_max_str_digits()``
-        if isinstance(value, int):
-            return f"<int of {value.bit_length()} bits>"
-        items = ", ".join(map(_shown, value))
-        return f"[{items}]" if isinstance(value, list) else f"({items})"
-
-
-def _check_number(value, what: str, non_negative: bool = False) -> None:
-    """Raise DomainError unless ``value`` is a finite int or float, and ``>= 0`` if asked.
-
-    A bool would be written to the JSON as true or pass for a share of 1 or
-    0; a string or None would reach ``math.isfinite``.  A NaN tolerance flags
-    no violation, a NaN share passes the sum test, and neither NaN nor inf is JSON.
-    """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an int or a float, got {_shown(value)}")
-    try:
-        valid = math.isfinite(value) and (value >= 0.0 or not non_negative)
-    except OverflowError:  # an int beyond the float range is not finite either
-        valid = False
-    if not valid:
-        rule = "finite and non-negative" if non_negative else "finite"
-        raise DomainError(f"{what} must be {rule}, got {_shown(value)}")
-
-
 class _FuzzFields(NamedTuple):
     n: int
     seed: int
@@ -140,7 +111,11 @@ class FuzzConfig(_FuzzFields):
         region_mix = dict(region_mix)
         unknown = set(region_mix) - set(STRATA)
         if unknown:
-            raise DomainError(f"unknown region-mix strata {_shown(sorted(unknown))}")
+            try:
+                unknown = sorted(unknown)
+            except TypeError:  # keys of types that do not compare, such as 1 and "x"
+                unknown = sorted(unknown, key=_shown)
+            raise DomainError(f"unknown region-mix strata {_shown(unknown)}")
         total = 0.0
         for name in STRATA:
             share = region_mix.get(name, 0.0)

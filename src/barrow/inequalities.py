@@ -31,7 +31,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .bisectors import _bisector
-from .errors import DomainError, GeometryError, OutsideInterior, VertexCoincidence
+from .errors import DomainError, GeometryError, OutsideInterior, VertexCoincidence, _check_number, _shown
 from .geom import (
     COINCIDENCE_FACTOR,
     DistanceTriple,
@@ -104,8 +104,7 @@ class InequalityReport(NamedTuple):
 
 def _validate_nonneg(**named: float) -> None:
     for name, value in named.items():
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError(f"{name} must be a finite non-negative real, got {value}")
+        _check_number(value, name, non_negative=True)
 
 
 #: Per statement: alpha = offset + sign * beta + sign * gamma, then the signs
@@ -134,7 +133,7 @@ def stmt_slack(kind: str, p: float, q: float, r: float, beta: float, gamma: floa
     if beta + gamma > math.pi + 1e-12:
         raise DomainError(f"beta + gamma = {beta + gamma} exceeds pi")
     if kind not in _STATEMENTS:
-        raise ValueError(f"unknown statement kind {kind!r}, expected 'S1', 'S2' or 'S3'")
+        raise ValueError(f"unknown statement kind {_shown(kind)}, expected 'S1', 'S2' or 'S3'")
     offset, sign, (s_alpha, s_beta, s_gamma) = _STATEMENTS[kind]
     alpha = offset + sign * beta + sign * gamma
     sp, sq, sr = math.sqrt(p), math.sqrt(q), math.sqrt(r)
@@ -254,7 +253,7 @@ def _rule(inequality: InequalityId) -> tuple[bool, bool, str]:
     """The :data:`BOUNDS` entry of ``inequality``; DomainError for any other value."""
     # A bound's value, such as "Barrow1", would end in a KeyError from BOUNDS.
     if not isinstance(inequality, InequalityId):
-        raise DomainError(f"inequality must be an InequalityId, got {inequality!r}")
+        raise DomainError(f"inequality must be an InequalityId, got {_shown(inequality)}")
     if inequality in VERTEX_IDS:
         raise DomainError(f"{inequality.value} holds only at its vertex, where "
                           f"{InequalityId.SIGNED_BARROW30.value} reports it")

@@ -6,9 +6,12 @@ uses: bisector lengths by intersecting the bisector ray with the opposite
 line, region membership by raw side-of-line tests against each sideline.
 The simplex descent is kept in its earlier form, which holds its vertices
 in lists and orders them with ``sorted``, as a reference for the points the
-library's descent visits.  The signed bound has an 80-digit ``decimal``
-evaluator, a reference that measures how much of the float kernel's error
-budget it uses.
+library's descent visits.  Every bound, the five of the package's table of
+bounds and the three vertex bounds, has one 80-digit ``decimal`` evaluator,
+:func:`decimal_slacks`, which names them by their labels: it holds the
+float kernel to the mathematics and measures how much of its error budget
+the kernel uses.  ``test_the_reference_imports_nothing_of_the_package``
+keeps this module free of imports of the package.
 """
 
 import math
@@ -150,31 +153,63 @@ def reference_nelder_mead(f, x0, step, tol):
     return best_pt, best_val
 
 
-def decimal_signed_slack(A, B, C, M):
-    """The signed bound's slack at M and R_A + R_B + R_C, in 80-digit decimal arithmetic.
+#: The weights and terms of each bound, by its name: the weights 2, the
+#: triangle's side ratios or the two vertex distances off each side, on the
+#: signed sideline distances or the signed bisectors.  The interior-only
+#: bounds are read where every coordinate is positive, so their signed
+#: terms are the unsigned ones.
+_DECIMAL_BOUNDS = {
+    "Barrow1": ("two", "bisectors"),
+    "ErdosMordell2": ("two", "distances"),
+    "Dergiades3": ("sides", "distances"),
+    "LuWeighted13": ("pairs", "bisectors"),
+    "SignedBarrow30": ("pairs", "bisectors"),
+}
+
+
+def decimal_slacks(A, B, C, M):
+    """Every bound's slack at M, by name, and R_A + R_B + R_C, in 80-digit decimal arithmetic.
 
     Takes plain (x, y) tuples of floats, each converted exactly by
-    ``Decimal(float)``, and returns two ``Decimal``.  The bisector from M
-    toward a side whose ends lie at distances R_y and R_z is
-    2 R_y R_z cos(t/2) / (R_y + R_z), t the angle the side spans at M, with
-    cos^2(t/2) = (1 + dot / (R_y R_z)) / 2; it is negative where M's
-    barycentric coordinate for that side is.  Its weight is
-    sqrt(R_z / R_y) + sqrt(R_y / R_z).  M must not be a vertex.
+    ``Decimal(float)``, and returns a dict of ``Decimal`` slacks and the
+    ``Decimal`` sum.  With side k opposite vertex k, its ends at distances
+    R_y and R_z from M and t the angle it spans at M: the signed distance is
+    the cross of the vectors from M to its ends over its length, positive on
+    the side of vertex k; the bisector is 2 R_y R_z cos(t/2) / (R_y + R_z),
+    with cos^2(t/2) = (1 + dot / (R_y R_z)) / 2, negative where the distance
+    is.  Side k's weight is 2, z/y + y/z for the other two side lengths y, z,
+    or sqrt(R_z / R_y) + sqrt(R_y / R_z).  Each of the five bounds is
+    R_A + R_B + R_C against the weighted sum of its terms; vertex k's bound
+    is R_y + R_z against that last weight times the unsigned bisector toward
+    side k.  M must not be a vertex.
     """
     with localcontext() as ctx:
         ctx.prec = 80
-        (ax, ay), (bx, by), (cx, cy), (mx, my) = (tuple(map(Decimal, P)) for P in (A, B, C, M))
-        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        vectors = [(px - mx, py - my) for px, py in ((ax, ay), (bx, by), (cx, cy))]
+        P = [tuple(map(Decimal, V)) for V in (A, B, C)]
+        mx, my = map(Decimal, M)
+        (ax, ay), (bx, by), (cx, cy) = P
+        orient = 1 if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0 else -1
+        vectors = [(px - mx, py - my) for px, py in P]
         R = [(x * x + y * y).sqrt() for x, y in vectors]
-        rhs = Decimal(0)
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
+        ends = [((k + 1) % 3, (k + 2) % 3) for k in range(3)]
+        sides = [((P[j][0] - P[i][0]) ** 2 + (P[j][1] - P[i][1]) ** 2).sqrt() for i, j in ends]
+        terms = {"distances": [], "bisectors": []}
+        weights = {"two": [Decimal(2)] * 3, "sides": [], "pairs": []}
+        for k, (i, j) in enumerate(ends):
             (px, py), (qx, qy), R_y, R_z = vectors[i], vectors[j], R[i], R[j]
+            distance = orient * (px * qy - py * qx) / sides[k]
             cos_sq = (1 + (px * qx + py * qy) / (R_y * R_z)) / 2
             bisector = 2 * R_y * R_z * max(cos_sq, Decimal(0)).sqrt() / (R_y + R_z)
-            if (px * qy - py * qx) * area2 < 0:
-                bisector = -bisector
-            rhs += ((R_z / R_y).sqrt() + (R_y / R_z).sqrt()) * bisector
+            terms["distances"].append(distance)
+            terms["bisectors"].append(-bisector if distance < 0 else bisector)
+            # Sides i and j are the two other sides, as side k lies opposite vertex k.
+            weights["sides"].append(sides[j] / sides[i] + sides[i] / sides[j])
+            weights["pairs"].append((R_z / R_y).sqrt() + (R_y / R_z).sqrt())
         R_sum = R[0] + R[1] + R[2]
-        return R_sum - rhs, R_sum
+        slacks = {
+            name: R_sum - sum(w * t for w, t in zip(weights[weight], terms[term]))
+            for name, (weight, term) in _DECIMAL_BOUNDS.items()
+        }
+        for k, (name, (i, j)) in enumerate(zip(("VertexA14", "VertexB15", "VertexC16"), ends)):
+            slacks[name] = R[i] + R[j] - weights["pairs"][k] * abs(terms["bisectors"][k])
+        return slacks, R_sum

@@ -24,13 +24,23 @@ from barrow import (
     classify,
     fuzz,
     grid_scan,
+    identity_residuals,
     sample_point,
     sample_triangle,
+    stmt_slack,
     tightness_search,
 )
 from barrow import cli, errors, harness, inequalities, regions
-from barrow.errors import GeometryError
-from barrow.geom import PointFrame, barycentric, dist, vertex_distances
+from barrow.bisectors import bisector_length, signed_bisectors
+from barrow.errors import GeometryError, OutsideInterior
+from barrow.geom import (
+    PointFrame,
+    barycentric,
+    dist,
+    side_coordinate,
+    signed_distances,
+    vertex_distances,
+)
 from barrow.harness import (
     DEFAULT_HEIGHT_BAND,
     DEFAULT_REGION_MIX,
@@ -40,8 +50,7 @@ from barrow.harness import (
     _nelder_mead,
 )
 from barrow.inequalities import bound_report
-from barrow.regions import OPEN_PATTERNS, classify_frame
-import frame_reference as reference
+from barrow.regions import DEFAULT_EPS, OPEN_PATTERNS, VERTEX_REGIONS, classify_frame
 import oracles
 
 
@@ -378,9 +387,23 @@ def test_oversized_ints_reach_their_domain_error(scalene):
                   lambda: FuzzConfig(n=10, seed=1, triangle_shape=huge),
                   lambda: FuzzConfig(n=10, seed=1, region_mix={huge: 1.0}),
                   lambda: grid_scan(scalene, (0, 0, 1, 1), -huge),
-                  lambda: tightness_search(scalene, InequalityId.BARROW1, starts=-huge)):
+                  lambda: tightness_search(scalene, InequalityId.BARROW1, starts=-huge),
+                  lambda: tightness_search(scalene, huge),
+                  lambda: bound_report(huge, scalene, Point2(1.0, 0.5)),
+                  lambda: stmt_slack("S1", huge, 1.0, 1.0, 0.1, 0.1),
+                  lambda: identity_residuals(huge, 1.0, 1.0, 0.1, 0.2)):
         with pytest.raises(DomainError, match="<int of 16610 bits>"):
             build()
+    # A point or a statement kind that is no number keeps its ValueError.
+    for build in (lambda: Point2(huge, 0.0), lambda: Point2(0.0, -huge),
+                  lambda: stmt_slack(huge, 1.0, 1.0, 1.0, 0.1, 0.1)):
+        with pytest.raises(ValueError, match="<int of 16610 bits>"):
+            build()
+    with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(1000"):
+        Point2(10**400, 0.0)
+    # Unknown strata of types that do not compare are listed in the order of their reprs.
+    with pytest.raises(DomainError, match=r"^unknown region-mix strata \['x', 1\]$"):
+        FuzzConfig(n=10, seed=1, region_mix={"x": 0.5, 1: 0.5})
     # An ordinary value keeps its message.
     with pytest.raises(DomainError, match=r"^empty bounding box \[1, 0, 0, 1\]$"):
         grid_scan(scalene, [1, 0, 0, 1], 2)
@@ -462,56 +485,6 @@ def test_fuzz_binds_the_kernel_once_per_sample(monkeypatch, unit_right):
         _, slacks = inequalities.slacks_function(T)(*M)
         assert slacks[0][0].startswith("Vertex") and slacks[1][0] == "Dergiades3"
         assert len(binds) == 1, (T, M)
-
-
-def _hex_slacks(triples):
-    return [(inequality, region, float.hex(slack)) for inequality, region, slack in triples]
-
-
-def _slacks_from_frame_values(T, M, region):
-    """The fuzz's triples at M, read bound by bound from the reference ``frame_values``."""
-    F = PointFrame(T, M)
-    ids = [InequalityId.SIGNED_BARROW30, InequalityId.DERGIADES3]
-    values = [reference.frame_values(reference.BOUNDS[i], F, region) for i in ids]
-    # A lambda0 signed report rules out a vertex, so the interior-only
-    # bounds are defined there.
-    if values[0][1] is Region.LAMBDA0:
-        ids = [InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2]
-        values += [reference.frame_values(reference.BOUNDS[i], F, region) for i in ids]
-    return _hex_slacks((i.value, r.value, lhs - rhs) for i, r, lhs, rhs, _ in values)
-
-
-def test_frame_slacks_are_the_frame_values_slacks(unit_right):
-    # The fuzz's one kernel pass gives the slacks, labels and distance sum of
-    # the reference frame path, bit for bit: on every stratum of every shape,
-    # at the three vertices, and on a vertex of a thin triangle whose sign
-    # pattern is open.
-    cases = []
-    for shape in TRIANGLE_SHAPES:
-        for stratum in STRATA:
-            band = SIDELINE_HEIGHT_BAND if stratum == "sideline" else DEFAULT_HEIGHT_BAND
-            for seed in range(30):
-                rng = random.Random(f"{shape}/{stratum}/{seed}")
-                T = sample_triangle(rng, shape, height_band=band)
-                cases.append((T, *harness._sample(rng, T, stratum, inequalities.slacks_function(T))))
-    thin = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-3))
-    for T, M in [*((unit_right, M) for M in unit_right.vertices), (thin, Point2(0.5, 1e-3 - 5e-13))]:
-        cases.append((T, M, inequalities.slacks_function(T)(*M)))
-    F = PointFrame(thin, cases[-1][1])
-    assert F.vertex == 2 and classify_frame(F) is Region.LAMBDA0
-    seen = set()
-    for T, M, (R_sum, slacks) in cases:
-        F = PointFrame(T, M)
-        region = classify_frame(F)
-        want = _hex_slacks(reference.frame_slacks(F, region))
-        assert _hex_slacks(slacks) == want == _slacks_from_frame_values(T, M, region)
-        assert float.hex(R_sum) == float.hex(F.R_sum)
-        seen.update((inequality, region) for inequality, region, _ in want)
-    assert {label for label, _ in seen} == {
-        "SignedBarrow30", "LuWeighted13", "Dergiades3", "Barrow1", "ErdosMordell2",
-        "VertexA14", "VertexB15", "VertexC16",
-    }
-    assert {region for _, region in seen} == {region.value for region in Region}
 
 
 def test_fuzz_config_keeps_its_own_mix():
@@ -817,48 +790,157 @@ def _sampled_objective_cases():
     return cases
 
 
-def _kernel_or_error(row, x, y):
+def _pair(y, z):
+    """The weight sqrt(z/y) + sqrt(y/z) of two vertex distances."""
+    return math.sqrt(z / y) + math.sqrt(y / z)
+
+
+def _pair_weights(T, R):
+    R_A, R_B, R_C = R
+    return _pair(R_B, R_C), _pair(R_C, R_A), _pair(R_A, R_B)
+
+
+#: Each bound's documented formula: whether it is interior-only, its terms
+#: at M and its weights, from the public point functions.
+FORMULAS = {
+    InequalityId.BARROW1: (True, signed_bisectors, lambda T, R: (2.0, 2.0, 2.0)),
+    InequalityId.ERDOS_MORDELL2: (True, signed_distances, lambda T, R: (2.0, 2.0, 2.0)),
+    InequalityId.DERGIADES3: (False, signed_distances, lambda T, R: T.ratio_weights),
+    InequalityId.LU_WEIGHTED13: (True, signed_bisectors, _pair_weights),
+    InequalityId.SIGNED_BARROW30: (False, signed_bisectors, _pair_weights),
+}
+
+
+def formula_row(inequality, T, x, y, eps=DEFAULT_EPS):
+    """The ``values_function`` row of ``inequality`` at (x, y), from its documented formula.
+
+    The label is ``classify_frame(PointFrame(T, M), eps)``.  An
+    interior-only bound is None off ``lambda0`` and raises
+    VertexCoincidence on a vertex.  The signed bound gives a point with a
+    vertex's label, or on a vertex, that vertex's bound and label: with side
+    k from V_i to V_j, R_i + R_j against ``_pair(R_i, R_j)`` times
+    ``bisector_length(M, V_i, V_j)``; on another vertex it raises
+    VertexCoincidence.  Every other row sums the weights times the terms
+    from 0.0 in side order.  A non-finite coordinate raises ValueError and
+    distances whose squares overflow DomainError, except that an
+    interior-only bound is None wherever the side coordinates alone put M
+    off the interior: it reads no distance there.
+    """
+    interior_only, terms, weights = FORMULAS[inequality]
     try:
-        return row(x, y)
-    except (GeometryError, ValueError) as exc:
-        return type(exc)
+        F = PointFrame(T, Point2(x, y))
+    except (ValueError, DomainError):
+        if interior_only and not all(side_coordinate(T, (x, y), k) > max(eps, 0.0) for k in range(3)):
+            return None
+        raise
+    region = classify_frame(F, eps)
+    if interior_only and region is not Region.LAMBDA0:
+        return None
+    if interior_only:
+        F.check_not_vertex()
+    M, R = F.M, vertex_distances(T, F.M)
+    k = VERTEX_REGIONS.index(region) if region in VERTEX_REGIONS else F.vertex
+    if inequality is InequalityId.SIGNED_BARROW30 and k is not None:
+        if F.vertex != k:
+            F.check_not_vertex()
+        i, j = (k + 1) % 3, (k + 2) % 3
+        t = [math.nan] * 3
+        t[k] = bisector_length(M, T.vertices[i], T.vertices[j])
+        lhs, rhs = R[i] + R[j], 0.0 + _pair(R[i], R[j]) * t[k]
+        return (x, y, VERTEX_REGIONS[k].value, *R, *t, lhs, rhs, lhs - rhs)
+    (t_a, t_b, t_c), (w_a, w_b, w_c) = terms(T, M), weights(T, R)
+    lhs, rhs = R.R_A + R.R_B + R.R_C, 0.0 + w_a * t_a + w_b * t_b + w_c * t_c
+    return (x, y, region.value, *R, t_a, t_b, t_c, lhs, rhs, lhs - rhs)
 
 
-def _reference_or_error(inequality, T, x, y):
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the GeometryError or ValueError it raises."""
     try:
-        return reference.report_row(inequality, T, x, y)
+        return f(*args)
     except (GeometryError, ValueError) as exc:
-        return type(exc)
+        return exc
 
 
-def assert_rows_are_the_reference(inequality, T, points):
-    """Each kernel row holds the reference report's values bit for bit, NaN for a side without a term.
+def same_row(got, want) -> bool:
+    """Rows equal bit for bit, errors of one type and text, or both None."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    if isinstance(got, tuple) and isinstance(want, tuple):
+        return all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+    return got is want
 
-    Where the reference raises, the kernel raises the same error or, off an
-    interior-only bound's domain, returns None; the search's slack is inf.
-    Elsewhere the search's slack is the reference's, whether its slack-only
-    closure evaluates the point or hands it to the row kernel.
+
+def assert_rows_are_the_formula(inequality, T, points):
+    """Each kernel row is the formula's row, its error or its None.
+
+    The search's slack is that row's slack, whether its slack-only closure
+    evaluates the point or hands it to the row kernel, and inf where the
+    row is None or an error.
     """
     row = inequalities.values_function(T, inequality)
     objective = inequalities.slack_function(T, inequality)
     for x, y in points:
-        want = _reference_or_error(inequality, T, x, y)
-        got = _kernel_or_error(row, x, y)
-        if isinstance(want, type):
-            assert got is want or (got is None and inequality in inequalities.INTERIOR_IDS), (
-                inequality, T, x, y, got, want)
-            assert objective(x, y) == math.inf, (inequality, T, x, y)
-            continue
-        assert all(same_bits(g, w) for g, w in zip(got, want, strict=True)), (T, x, y, got, want)
-        assert same_bits(objective(x, y), want[11]), (inequality, T, x, y)
+        want = _outcome(formula_row, inequality, T, x, y)
+        assert same_row(_outcome(row, x, y), want), (inequality, T, x, y, want)
+        slack = want[11] if isinstance(want, tuple) else math.inf
+        assert same_bits(objective(x, y), slack), (inequality, T, x, y)
+
+
+#: The bound a report or the fuzz names for the signed bound's row, by its label.
+_SIGNED_NAMES = {"lambda0": "LuWeighted13", "vertexA": "VertexA14", "vertexB": "VertexB15",
+                 "vertexC": "VertexC16"}
+
+
+def _hex_slacks(triples):
+    return [(inequality, region, float.hex(slack)) for inequality, region, slack in triples]
+
+
+def test_fuzz_slacks_are_the_formula_rows(unit_right):
+    # The fuzz's one kernel pass gives the slacks and labels of the formula
+    # rows bit for bit: the signed bound's, named for the bound that holds
+    # there, Dergiades3's, and inside Barrow1's and ErdosMordell2's; and the
+    # sum of vertex_distances.  On every stratum of every shape, at the three
+    # vertices, and on a vertex of a thin triangle whose sign pattern is open.
+    cases = []
+    for shape in TRIANGLE_SHAPES:
+        for stratum in STRATA:
+            band = SIDELINE_HEIGHT_BAND if stratum == "sideline" else DEFAULT_HEIGHT_BAND
+            for seed in range(30):
+                rng = random.Random(f"{shape}/{stratum}/{seed}")
+                T = sample_triangle(rng, shape, height_band=band)
+                cases.append((T, *harness._sample(rng, T, stratum, inequalities.slacks_function(T))))
+    thin = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-3))
+    for T, M in [*((unit_right, M) for M in unit_right.vertices), (thin, Point2(0.5, 1e-3 - 5e-13))]:
+        cases.append((T, M, inequalities.slacks_function(T)(*M)))
+    F = PointFrame(thin, cases[-1][1])
+    assert F.vertex == 2 and classify_frame(F) is Region.LAMBDA0
+    seen = set()
+    for T, M, (R_sum, slacks) in cases:
+        signed, dergiades = (formula_row(i, T, *M) for i in (InequalityId.SIGNED_BARROW30,
+                                                              InequalityId.DERGIADES3))
+        label = signed[2]
+        want = [(_SIGNED_NAMES.get(label, "SignedBarrow30"), label, signed[11]),
+                ("Dergiades3", dergiades[2], dergiades[11])]
+        if label == "lambda0":
+            want += [(i.value, label, formula_row(i, T, *M)[11])
+                     for i in (InequalityId.BARROW1, InequalityId.ERDOS_MORDELL2)]
+        assert _hex_slacks(slacks) == _hex_slacks(want), (T, M)
+        R_A, R_B, R_C = vertex_distances(T, M)
+        assert same_bits(R_sum, R_A + R_B + R_C)
+        seen.update((inequality, region) for inequality, region, _ in want)
+    assert {label for label, _ in seen} == {
+        "SignedBarrow30", "LuWeighted13", "Dergiades3", "Barrow1", "ErdosMordell2",
+        "VertexA14", "VertexB15", "VertexC16",
+    }
+    assert {region for _, region in seen} == {region.value for region in Region}
 
 
 @pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
 def test_search_objective_is_the_report_slack(scalene, inequality):
     # The search and the scan read the point kernel's rows without building
-    # a report; the frame path the kernel replaced is the reference.
+    # a report; the bound's formula over the public point functions is the reference.
     for T, points in [(scalene, OBJECTIVE_POINTS), *_sampled_objective_cases()]:
-        assert_rows_are_the_reference(inequality, T, points)
+        assert_rows_are_the_formula(inequality, T, points)
 
 
 def _handoff_cases():
@@ -866,7 +948,7 @@ def _handoff_cases():
 
     There the product 2 R_B R_C of the half-angle bisector form underflows
     and ``_bisector``'s cross-check raises NumericalError: for the bounds
-    with bisector terms the reference raises it and the search's slack is
+    with bisector terms the formula raises it and the search's slack is
     inf; the two distance bounds read a finite slack.
     """
     tiny = Triangle(Point2(0.0, 0.0), Point2(1e-160, 0.0), Point2(0.0, 1e-160))
@@ -878,7 +960,7 @@ def test_search_objective_hands_rare_points_to_the_row_kernel(inequality):
     # A ratio that underflowed to zero snaps, so its point goes to the row
     # kernel; a NumericalError of the closure's own bisectors reads as inf.
     for T, points in _handoff_cases():
-        assert_rows_are_the_reference(inequality, T, points)
+        assert_rows_are_the_formula(inequality, T, points)
 
 
 @pytest.mark.parametrize("inequality", sorted(inequalities.INTERIOR_IDS, key=lambda i: i.value),
@@ -975,15 +1057,6 @@ def test_search_takes_the_common_path(scalene, monkeypatch):
     assert reached == dict.fromkeys(inequalities.INTERIOR_IDS, 0) | whole_plane
 
 
-def _report_hex(report):
-    """A report, or the type and text of what it raised, with every float by its bits."""
-    if isinstance(report, tuple) and isinstance(report[0], type):
-        return report
-    inequality, region, lhs, rhs, slack, tight, terms = report
-    return (inequality, region, *map(float.hex, (lhs, rhs, slack)), tight,
-            [(side, *map(float.hex, values)) for side, *values in terms])
-
-
 def _underflow_cases():
     """Points whose barycentric ratio underflows to zero while its cross does not.
 
@@ -996,28 +1069,52 @@ def _underflow_cases():
 
 
 @pytest.mark.parametrize("eps, tol_factor", [
-    (1e-12, 1e-9), (0.4, 1e-9), (1e-3, 0.5), (0.0, 1e-9), (-0.5, 1e-9),
+    (1e-12, 1e-9), (0.4, 1e-9), (1e-3, 0.5), (0.0, 1e-9), (-0.5, 1e-9), (1.5, 1e-9),
 ])
 def test_bound_report_is_the_reference_report(scalene, eps, tol_factor):
     # Every bound at every finite objective point, classified at a narrow
-    # and two wide snap thresholds, and at eps 0 and below, where only the
-    # sign a ratio keeps decides: the report of the frame path, or the same
-    # error with the same text (the region an OutsideInterior names, the
-    # vertex a VertexCoincidence names, the point whose distances overflow).
+    # and two wide snap thresholds, at eps 0 and below, where only the sign
+    # a ratio keeps decides, and at eps 1.5, where every point near the
+    # triangle snaps to vertex A and one on vertex B or C raises
+    # VertexCoincidence: the report of the formula row, or the same error
+    # with the same text.  Where the row is None the report raises
+    # OutsideInterior naming the region of Dergiades3's row, or that row's error.
     cases = [(scalene, OBJECTIVE_POINTS), *_underflow_cases()]
     if eps > 0.0:
         cases += _sampled_objective_cases()
     for T, points in cases:
-        for (x, y), inequality in itertools.product(points, inequalities.BOUNDS):
+        for (x, y), inequality in itertools.product(points, FORMULAS):
             if not (math.isfinite(x) and math.isfinite(y)):
                 continue
-            reports = []
-            for build in (bound_report, reference.bound_report):
-                try:
-                    reports.append(build(inequality, T, Point2(x, y), eps, tol_factor))
-                except GeometryError as exc:
-                    reports.append((type(exc), str(exc)))
-            assert _report_hex(reports[0]) == _report_hex(reports[1]), (inequality, T, x, y)
+            M = Point2(x, y)
+            want = _outcome(formula_row, inequality, T, x, y, eps)
+            report = _outcome(bound_report, inequality, T, M, eps, tol_factor)
+            if want is None:
+                want = _outcome(formula_row, InequalityId.DERGIADES3, T, x, y, eps)
+                if isinstance(want, tuple):
+                    want = OutsideInterior(f"point {M} classifies as {want[2]}, not the interior")
+            if isinstance(want, Exception):
+                assert same_row(report, want), (inequality, T, x, y, report, want)
+                continue
+            _assert_report_is_the_row(report, inequality, want, tol_factor)
+
+
+def _assert_report_is_the_row(report, inequality, row, tol_factor):
+    """The report holds the row's values, with one term per side the row has a term on."""
+    label, R, t, (lhs, rhs, slack) = row[2], row[3:6], row[6:9], row[9:]
+    name = inequality.value
+    if inequality is InequalityId.SIGNED_BARROW30:
+        name = _SIGNED_NAMES.get(label, name)
+    sides = [k for k in range(3) if not math.isnan(t[k])]
+    assert (report.inequality.value, report.region.value) == (name, label)
+    assert [term.side for term in report.terms] == ["abc"[k] for k in sides]
+    total = 0.0
+    for term, k in zip(report.terms, sides):
+        assert same_bits(term.value, t[k]) and same_bits(term.contribution, term.weight * t[k])
+        total += term.contribution
+    got = (report.lhs, report.rhs, report.slack, total)
+    assert all(map(same_bits, got, (lhs, rhs, slack, rhs))), (report, row)
+    assert report.tight is (abs(slack) <= tol_factor * (R[0] + R[1] + R[2]))
 
 
 def _scan_cases():
@@ -1066,15 +1163,14 @@ def _snapped(T, x, y) -> bool:
 
 @pytest.mark.parametrize("triangle, bbox, resolution", _scan_cases())
 def test_grid_scan_rows_are_the_report_values(triangle, bbox, resolution, monkeypatch):
-    # Row for row the values of the reference report, bit for bit, and the
-    # error the first failing cell's frame raises; no cell builds a frame.
-    # Every bound's kernel rows on the same cells are the reference's too.
+    # Row for row the signed bound's formula rows, bit for bit, and the
+    # error the first failing cell raises; no cell builds a frame.  Every
+    # bound's kernel rows on the same cells are the formula's too.
     cells = _cell_centers(bbox, resolution)
-    for inequality in inequalities.BOUNDS:
-        assert_rows_are_the_reference(inequality, triangle, cells)
+    for inequality in FORMULAS:
+        assert_rows_are_the_formula(inequality, triangle, cells)
     try:
-        expected = [reference.report_row(InequalityId.SIGNED_BARROW30, triangle, x, y)
-                    for x, y in cells]
+        expected = [formula_row(InequalityId.SIGNED_BARROW30, triangle, x, y) for x, y in cells]
     except DomainError as exc:
         with pytest.raises(DomainError) as info:
             grid_scan(triangle, bbox, resolution)
