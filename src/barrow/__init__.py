@@ -18,7 +18,6 @@ from .errors import (
     DegenerateTriangle,
     DomainError,
     GeometryError,
-    NumericalError,
     OutsideInterior,
     UsageError,
     VertexCoincidence,
@@ -77,7 +76,6 @@ __all__ = [
     "IdentityResiduals",
     "InequalityId",
     "InequalityReport",
-    "NumericalError",
     "OutsideInterior",
     "Point2",
     "PointFrame",

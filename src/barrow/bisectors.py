@@ -2,30 +2,30 @@
 
 For a point M and a side, say BC, the quantity of interest is the length of
 the internal bisector of the angle ∠BMC, measured from M to where it meets
-line BC.  Two closed forms exist for it; both are evaluated on every call
-and cross-checked, because they fail in different numerical regimes:
-
-* the half-angle form  2 R_B R_C / (R_B + R_C) * cos(alpha/2)  loses
-  relative accuracy when alpha approaches π (M close to the open segment);
-* the radical form  sqrt(R_B R_C) / (R_B + R_C) * sqrt((R_B+R_C)^2 - |BC|^2)
-  is evaluated through the algebraically equal, cancellation-free expression
-  (R_B+R_C)^2 - |BC|^2 = 2 (B-M)·(C-M) + 2 R_B R_C
-                       = 2 ((B-M)×(C-M))^2 / (R_B R_C - (B-M)·(C-M)),
-  the second rewriting used when the dot product is negative.
+line BC.  It is evaluated in one closed form, the half-angle form
+2 R_B R_C / (R_B + R_C) * cos(alpha/2), whose relative accuracy is that of
+cos(alpha/2) as alpha approaches π (M close to the open segment).
 
 When M lies exactly on line BC the angle degenerates and the limit value is
 used: 0 on the closed segment [BC], the harmonic-mean scale
 2 R_B R_C / (R_B + R_C) outside it.
+
+One underflow rule guards every bisector: a DomainError when 2 R_B R_C is
+below the smallest normal float, where the product has lost digits, or,
+with M on line BC, when |(B-M)·(C-M)| is, where the zero cross product may
+be an underflow rather than a point on the line.
 """
 
 from __future__ import annotations
 
 import sys
-from math import atan2, cos, sqrt
+from math import atan2, cos
 from typing import NamedTuple
 
-from .errors import DomainError, NumericalError, VertexCoincidence
+from .errors import DomainError, VertexCoincidence
 from .geom import COINCIDENCE_FACTOR, Point2, PointFrame, Triangle, _check_far, dist
+
+_MIN_NORMAL = sys.float_info.min
 
 
 class BisectorTriple(NamedTuple):
@@ -49,41 +49,17 @@ class SignedBisectorTriple(NamedTuple):
 
 
 def _bisector(R_B: float, R_C: float, cross: float, dot: float) -> float:
-    """Both closed forms from the distances to B and C and (B-M)×(C-M), (B-M)·(C-M)."""
-    s = R_B + R_C
-    scale = 2.0 * R_B * R_C / s
-
+    """The half-angle form from the distances to B and C and (B-M)×(C-M), (B-M)·(C-M)."""
+    product = 2.0 * R_B * R_C
+    if product < _MIN_NORMAL or cross == 0.0 and abs(dot) < _MIN_NORMAL:
+        raise DomainError(
+            f"bisector products underflow (R={R_B!r}, {R_C!r}, cross={cross!r}, dot={dot!r})"
+        )
+    scale = product / (R_B + R_C)
     if cross == 0.0:
         # M exactly on line BC; dot < 0 iff M strictly inside the segment.
         return 0.0 if dot < 0.0 else scale
-
-    alpha = atan2(abs(cross), dot)
-    half_angle_form = scale * cos(0.5 * alpha)
-
-    # (R_B+R_C)^2 - side^2 without the cancellation of the literal parenthesis,
-    # in units of s = R_B + R_C: no product of small lengths underflows where
-    # the half-angle form's 2 R_B R_C does, so the check still catches that.
-    # The radical form is only compared (and printed on a mismatch), never
-    # returned, so the rounding of the division by s reaches no result.
-    rr = (R_B / s) * (R_C / s)
-    if dot >= 0.0:
-        excess = 2.0 * (dot / s / s + rr)
-    else:
-        k = cross / s / s
-        excess = 2.0 * k * k / (rr - dot / s / s)
-    radical_form = s * sqrt(rr) * sqrt(excess)
-
-    # Cross-check the independent forms on every call.  The absolute floor
-    # covers the half-angle form's error (~eps * scale) next to the segment,
-    # where both values are genuinely tiny.  ``larger`` is what
-    # max(half_angle_form, radical_form) returns, NaN included.
-    larger = radical_form if radical_form > half_angle_form else half_angle_form
-    if abs(half_angle_form - radical_form) > 1e-10 * larger + 1e-13 * scale:
-        raise NumericalError(
-            f"bisector closed forms disagree: {half_angle_form!r} vs {radical_form!r} "
-            f"(R={R_B!r}, {R_C!r}, cross={cross!r}, dot={dot!r})"
-        )
-    return half_angle_form
+    return scale * cos(0.5 * atan2(abs(cross), dot))
 
 
 def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
@@ -92,8 +68,7 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
     Returns the limit value when M is exactly on line BC: 0 on [BC], the
     harmonic-mean scale 2 R_B R_C/(R_B + R_C) outside the segment.  Raises
     DomainError when the squared distances from M to B and C overflow, or
-    when (B-M)×(C-M) is zero and |(B-M)·(C-M)| is below the smallest normal
-    float: that zero may be an underflow rather than a point on the line.
+    under the module's underflow rule.
     """
     R_B = dist(M, B)
     R_C = dist(M, C)
@@ -105,10 +80,7 @@ def bisector_length(M: Point2, B: Point2, C: Point2) -> float:
         raise VertexCoincidence(f"point {M} coincides with {C}", vertex="C")
     ux, uy = B.x - M.x, B.y - M.y
     vx, vy = C.x - M.x, C.y - M.y
-    cross, dot = ux * vy - uy * vx, ux * vx + uy * vy
-    if cross == 0.0 and abs(dot) < sys.float_info.min:
-        raise DomainError(f"products of the vectors from point {M} to {B} and {C} underflow")
-    return _bisector(R_B, R_C, cross, dot)
+    return _bisector(R_B, R_C, ux * vy - uy * vx, ux * vx + uy * vy)
 
 
 def _lengths(F: PointFrame) -> tuple[float, float, float]:

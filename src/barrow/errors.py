@@ -32,10 +32,6 @@ class DomainError(GeometryError):
     """Scalar arguments outside the documented domain (negative lengths, bad angles...)."""
 
 
-class NumericalError(GeometryError):
-    """Two independent float evaluations of one quantity disagree beyond their tolerance."""
-
-
 class UsageError(Exception):
     """Bad command-line invocation; maps to exit code 2."""
 

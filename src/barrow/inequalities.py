@@ -319,8 +319,16 @@ def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool =
         if not (u and v and w):
             # A ratio that underflowed to zero keeps the sign of its cross.
             u, v, w = _keep_sign(u, k_a, s), _keep_sign(v, k_b, s), _keep_sign(w, k_c, s)
+        R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
+        far = R_B if R_B > R_A else R_A
+        far = R_C if R_C > far else far
+        nearest = R_B if R_B < R_A else R_A
+        nearest = R_C if R_C < nearest else nearest
+        if 2.0 * far * far == math.inf:
+            _check_far(Point2(x, y), (R_A, R_B, R_C))
         if interior_only:
             if not (u > hi and v > hi and w > hi):
+                Point2(x, y)  # a NaN coordinate raises ValueError here
                 return None
             label = _LAMBDA0
         else:
@@ -330,13 +338,6 @@ def _kernel(T: Triangle, rule: tuple[bool, bool, str], eps: float, every: bool =
                 1 if w > hi else -1 if w < lo else 0,
             )
             label = _LABEL_BY_PATTERN.get(pattern)
-        R_A, R_B, R_C = hypot(ax, ay), hypot(bx, by), hypot(cx, cy)
-        far = R_B if R_B > R_A else R_A
-        far = R_C if R_C > far else far
-        nearest = R_B if R_B < R_A else R_A
-        nearest = R_C if R_C < nearest else nearest
-        if 2.0 * far * far == math.inf:
-            _check_far(Point2(x, y), (R_A, R_B, R_C))
         snapped = label is None
         if snapped:
             Point2(x, y)  # a non-finite coordinate raises ValueError here
@@ -474,7 +475,7 @@ def slack_function(T: Triangle, inequality: InequalityId) -> Callable[[float, fl
             l_a = _bisector(R_B, R_C, k_a, bx * cx + by * cy)
             l_b = _bisector(R_C, R_A, k_b, cx * ax + cy * ay)
             l_c = _bisector(R_A, R_B, k_c, ax * bx + ay * by)
-        except GeometryError:
+        except DomainError:  # the bisector underflow rule
             return inf
         if not interior_only:
             l_a, l_b, l_c = -l_a if u < 0.0 else l_a, -l_b if v < 0.0 else l_b, -l_c if w < 0.0 else l_c
@@ -497,7 +498,8 @@ def bound_report(
     inside, a vertex bound on a vertex), adds a ``Term`` per rhs part with the
     bound's weights, and is ``tight`` when |slack| <= ``tol_factor`` *
     (R_A + R_B + R_C).  An interior-only bound raises OutsideInterior off the
-    open interior and VertexCoincidence on a vertex.
+    open interior and VertexCoincidence on a vertex; distances whose squares
+    overflow raise DomainError first, on any bound.
     """
     row = values_function(T, inequality, eps)(*M)
     if row is None:

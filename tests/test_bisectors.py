@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +7,6 @@ from hypothesis import assume, given, settings
 from barrow import (
     DomainError,
     GeometryError,
-    NumericalError,
     Point2,
     VertexCoincidence,
     bisector_length,
@@ -79,34 +79,41 @@ def test_bisector_length_rejects_overflowing_squares():
     assert math.isclose(got, 1e153 / math.sqrt(2.0), rel_tol=1e-15)
 
 
+def _vector_bisector(u, v):
+    """``_bisector`` of the vectors u = B - M and v = C - M, through the kernel's operations."""
+    (ux, uy), (vx, vy) = u, v
+    return _bisector(math.hypot(ux, uy), math.hypot(vx, vy), ux * vy - uy * vx, ux * vx + uy * vy)
+
+
 def _scaled_unit_right_bisectors(m, k):
     """The three kernel calls of the unit right triangle at point m, all scaled by 2^k."""
     rel = [(math.ldexp(x - m[0], k), math.ldexp(y - m[1], k)) for x, y in ((0, 0), (1, 0), (0, 1))]
-    for i, j in SIDE_ENDS:
-        (ux, uy), (vx, vy) = rel[i], rel[j]
-        _bisector(math.hypot(ux, uy), math.hypot(vx, vy), ux * vy - uy * vx, ux * vx + uy * vy)
+    return [_vector_bisector(rel[i], rel[j]) for i, j in SIDE_ENDS]
 
 
-def test_bisector_cross_check_is_live_at_every_scale():
-    # R_B = R_C = 1 with cross = dot = 1/2 is no triangle: the half-angle
-    # form reads cos(pi/8), the radical form sqrt(3)/2.
-    for k in (-400, 0, 400):
-        r, q = math.ldexp(1.0, k), math.ldexp(0.5, 2 * k)
-        with pytest.raises(NumericalError):
-            _bisector(r, r, q, q)
-    # At 2^-540, R_B R_C underflows to zero and so does the half-angle form.
-    # A radical form built on that product would read zero too and agree.
-    r, q = math.ldexp(1.0, -540), math.ldexp(1.0, -1000)
-    with pytest.raises(NumericalError):
-        _bisector(r, r, q, q)
-    # Interior, strip and wedge points.  Near 2^-530 the half-angle form's
-    # 2 R_B R_C is subnormal and loses digits that the radical form keeps,
-    # so the check must fire.  (Below about 2^-539 every cross product
-    # underflows to zero and nothing is left to compare; Triangle refuses
-    # such triangles from 2^-536 on.)
+def test_bisector_underflow_rule():
+    # 2 R_B R_C at the smallest normal float is evaluated; one ulp below it
+    # has lost digits and raises.
+    tiny = sys.float_info.min
+    below = math.nextafter(tiny, 0.0)
+    assert _vector_bisector((1.0, 0.0), (0.0, tiny / 2.0)) == tiny * math.cos(math.pi / 4.0)
+    with pytest.raises(DomainError, match="underflow"):
+        _vector_bisector((1.0, 0.0), (0.0, math.nextafter(tiny / 2.0, 0.0)))
+    # On the line a zero cross product counts only when |dot| is normal: on
+    # the segment the value is 0, outside it the harmonic-mean scale.
+    assert _vector_bisector((1.0, 0.0), (-tiny, 0.0)) == 0.0
+    assert _vector_bisector((1.0, 0.0), (tiny, 0.0)) == 2.0 * tiny / (1.0 + tiny)
+    for side in (-1.0, 1.0):
+        with pytest.raises(DomainError, match="underflow"):
+            _vector_bisector((1.0, 0.0), (side * below, 0.0))
+    # Off the line a subnormal dot is no underflow of the rule.
+    assert _vector_bisector((1.0, 0.0), (1e-310, 1.0)) == math.cos(0.5 * math.atan2(1.0, 1e-310))
+    # Interior, strip and wedge points: at 2^-500 the values are the unit
+    # values times 2^-500, bit for bit; at 2^-530 2 R_B R_C is subnormal.
     for m in ((0.25, 0.25), (1.0, 1.0), (-0.5, -0.5), (2.0, -0.5)):
-        _scaled_unit_right_bisectors(m, -500)
-        with pytest.raises(NumericalError):
+        unit = _scaled_unit_right_bisectors(m, 0)
+        assert _scaled_unit_right_bisectors(m, -500) == [math.ldexp(value, -500) for value in unit]
+        with pytest.raises(DomainError, match="underflow"):
             _scaled_unit_right_bisectors(m, -530)
 
 
@@ -140,7 +147,7 @@ def test_bisector_length_is_exact_or_raises_at_tiny_scales():
                 except GeometryError:
                     raised += 1
                     continue
-                assert abs(got - want) <= 1e-9 * abs(want), (m, (i, j), k, got, want)
+                assert got == want, (m, (i, j), k, got, want)
     assert raised > 0
     assert bisector_length(Point2(0.25, 0.25), Point2(1.0, 0.0), Point2(0.0, 1.0)) == (
         0.35355339059327384)
@@ -176,8 +183,9 @@ def test_bisector_length_matches_ray_intersection(m, b, c):
 @settings(max_examples=200)
 @given(points_in(-10, 10), points_in(-10, 10), points_in(-10, 10))
 def test_bisector_length_dual_forms_stay_consistent(m, b, c):
-    # The implementation asserts agreement of its two closed forms on every
-    # call; any drawn configuration that is not degenerate must pass.
+    # Any drawn configuration that is not degenerate has a length between 0
+    # and the harmonic-mean scale.  The half-angle and radical forms are held
+    # to each other and to a foot oracle in tests/test_acceptance.py.
     rb, rc, side = dist(m, b), dist(m, c), dist(b, c)
     assume(side > 1e-6 and rb > 1e-3 * side and rc > 1e-3 * side)
     value = bisector_length(m, b, c)

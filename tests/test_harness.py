@@ -37,7 +37,6 @@ from barrow.geom import (
     PointFrame,
     barycentric,
     dist,
-    side_coordinate,
     signed_distances,
     vertex_distances,
 )
@@ -822,17 +821,10 @@ def formula_row(inequality, T, x, y, eps=DEFAULT_EPS):
     ``bisector_length(M, V_i, V_j)``; on another vertex it raises
     VertexCoincidence.  Every other row sums the weights times the terms
     from 0.0 in side order.  A non-finite coordinate raises ValueError and
-    distances whose squares overflow DomainError, except that an
-    interior-only bound is None wherever the side coordinates alone put M
-    off the interior: it reads no distance there.
+    distances whose squares overflow DomainError, on every bound.
     """
     interior_only, terms, weights = FORMULAS[inequality]
-    try:
-        F = PointFrame(T, Point2(x, y))
-    except (ValueError, DomainError):
-        if interior_only and not all(side_coordinate(T, (x, y), k) > max(eps, 0.0) for k in range(3)):
-            return None
-        raise
+    F = PointFrame(T, Point2(x, y))
     region = classify_frame(F, eps)
     if interior_only and region is not Region.LAMBDA0:
         return None
@@ -946,10 +938,10 @@ def test_search_objective_is_the_report_slack(scalene, inequality):
 def _handoff_cases():
     """The underflow points, and an interior point of a triangle 1e-160 wide.
 
-    There the product 2 R_B R_C of the half-angle bisector form underflows
-    and ``_bisector``'s cross-check raises NumericalError: for the bounds
-    with bisector terms the formula raises it and the search's slack is
-    inf; the two distance bounds read a finite slack.
+    There the product 2 R_B R_C of the half-angle bisector form is subnormal
+    and ``_bisector`` raises the underflow DomainError: for the bounds with
+    bisector terms the formula raises it and the search's slack is inf; the
+    two distance bounds read a finite slack.
     """
     tiny = Triangle(Point2(0.0, 0.0), Point2(1e-160, 0.0), Point2(0.0, 1e-160))
     return [*_underflow_cases(), (tiny, [(3e-161, 3e-161)])]
@@ -958,7 +950,7 @@ def _handoff_cases():
 @pytest.mark.parametrize("inequality", list(inequalities.BOUNDS), ids=lambda i: i.value)
 def test_search_objective_hands_rare_points_to_the_row_kernel(inequality):
     # A ratio that underflowed to zero snaps, so its point goes to the row
-    # kernel; a NumericalError of the closure's own bisectors reads as inf.
+    # kernel; an underflow DomainError of the closure's own bisectors reads as inf.
     for T, points in _handoff_cases():
         assert_rows_are_the_formula(inequality, T, points)
 
