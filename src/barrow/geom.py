@@ -76,20 +76,26 @@ class Triangle:
     __slots__ = ("A", "B", "C", "a", "b", "c", "area", "orient_sign", "diameter", "ratio_weights")
 
     def __init__(self, A: Point2, B: Point2, C: Point2):
+        # The float operations of ``dist(B, C)``, ``dist(C, A)``,
+        # ``dist(A, B)``, ``signed_area(A, B, C)`` and ``max(a, b, c)``, on
+        # coordinates read once.  ``math.hypot`` is read at each call, as the
+        # point kernel reads it.
+        (Ax, Ay), (Bx, By), (Cx, Cy) = A, B, C
+        hypot = math.hypot
         self.A = A
         self.B = B
         self.C = C
-        self.a = dist(B, C)
-        self.b = dist(C, A)
-        self.c = dist(A, B)
-        self.area = signed_area(A, B, C)
-        self.diameter = max(self.a, self.b, self.c)
-        if abs(self.area) <= DEGENERACY_FACTOR * self.diameter * self.diameter:
+        self.a = a = hypot(Bx - Cx, By - Cy)
+        self.b = b = hypot(Cx - Ax, Cy - Ay)
+        self.c = c = hypot(Ax - Bx, Ay - By)
+        self.area = area = ((Bx - Ax) * (Cy - Ay) - (By - Ay) * (Cx - Ax)) / 2.0
+        diameter = b if b > a else a
+        self.diameter = diameter = c if c > diameter else diameter
+        if abs(area) <= DEGENERACY_FACTOR * diameter * diameter:
             raise DegenerateTriangle(
-                f"triangle {A}, {B}, {C} is degenerate (|area|={abs(self.area):.3e})"
+                f"triangle {A}, {B}, {C} is degenerate (|area|={abs(area):.3e})"
             )
-        self.orient_sign = 1.0 if self.area > 0.0 else -1.0
-        a, b, c = self.a, self.b, self.c
+        self.orient_sign = 1.0 if area > 0.0 else -1.0
         self.ratio_weights = (c / b + b / c, c / a + a / c, a / b + b / a)
 
     @property

@@ -8,9 +8,10 @@ stream.  A string seed goes through SHA-512, so the streams do not depend on
 start at block boundaries, so results do not depend on execution order and
 a parallel run folds to the same report as a sequential one.  To replay
 sample ``i``, draw block ``i // 64`` from its first sample up to ``i``.  A
-fuzz chunk builds one table of its stratum thresholds.  One fold updates a
-fuzz cell: with each sample's reports in index order, and with each chunk's
-cells in chunk order.
+fuzz chunk builds one table of its stratum thresholds.  One fold creates a
+fuzz cell or moves its minimum: with each sample's reports in index order,
+and with each chunk's cells in chunk order.  A sample's report that would do
+neither and is no violation only adds to its cell's count.
 
 The jobs build no frame and no report.  The scan reads the rows of the
 point kernel (:func:`~barrow.inequalities.values_function`), the fuzz every
@@ -153,13 +154,15 @@ def sample_triangle(
         for _ in range(_MAX_RESAMPLE):
             sc = 10.0 ** (-1.0 + (1.5 - -1.0) * random())
             ox, oy = -10.0 + (10.0 - -10.0) * random(), -10.0 + (10.0 - -10.0) * random()
-            coords = [
-                (ox + sc * (-1.0 + (1.0 - -1.0) * random()),
-                 oy + sc * (-1.0 + (1.0 - -1.0) * random()))
-                for _ in range(3)
-            ]
             try:
-                T = Triangle(*(Point2(x, y) for x, y in coords))
+                T = Triangle(
+                    Point2(ox + sc * (-1.0 + (1.0 - -1.0) * random()),
+                           oy + sc * (-1.0 + (1.0 - -1.0) * random())),
+                    Point2(ox + sc * (-1.0 + (1.0 - -1.0) * random()),
+                           oy + sc * (-1.0 + (1.0 - -1.0) * random())),
+                    Point2(ox + sc * (-1.0 + (1.0 - -1.0) * random()),
+                           oy + sc * (-1.0 + (1.0 - -1.0) * random())),
+                )
             except GeometryError:
                 continue
             if abs(T.area) >= 1e-3 * T.diameter * T.diameter:
@@ -167,6 +170,10 @@ def sample_triangle(
         return Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
 
     if shape == "near-degenerate":
+        for end in height_band[0], height_band[1]:
+            _check_number(end, "height_band end")
+            if end <= 0:
+                raise DomainError(f"height_band ends must be positive, got {_shown(height_band)}")
         log_lo, log_hi = math.log10(height_band[0]), math.log10(height_band[1])
         for _ in range(_MAX_RESAMPLE):
             sc = 10.0 ** (-1.0 + (1.5 - -1.0) * random())
@@ -193,20 +200,24 @@ def sample_triangle(
     if shape == "equilateral-perturbed":
         if perturbation is None:
             perturbation = 10.0 ** (-6.0 + (-0.5 - -6.0) * random())
-        base = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
+        else:
+            _check_number(perturbation, "perturbation")
+        h = math.sqrt(3.0) / 2.0
         if perturbation == 0.0:
-            return Triangle(*(Point2(x, y) for x, y in base))
+            return Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, h))
         for _ in range(_MAX_RESAMPLE):
-            coords = [
-                (x + perturbation * (-1.0 + (1.0 - -1.0) * random()),
-                 y + perturbation * (-1.0 + (1.0 - -1.0) * random()))
-                for x, y in base
-            ]
             try:
-                return Triangle(*(Point2(x, y) for x, y in coords))
+                return Triangle(
+                    Point2(0.0 + perturbation * (-1.0 + (1.0 - -1.0) * random()),
+                           0.0 + perturbation * (-1.0 + (1.0 - -1.0) * random())),
+                    Point2(1.0 + perturbation * (-1.0 + (1.0 - -1.0) * random()),
+                           0.0 + perturbation * (-1.0 + (1.0 - -1.0) * random())),
+                    Point2(0.5 + perturbation * (-1.0 + (1.0 - -1.0) * random()),
+                           h + perturbation * (-1.0 + (1.0 - -1.0) * random())),
+                )
             except GeometryError:
                 continue
-        return Triangle(*(Point2(x, y) for x, y in base))
+        return Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, h))
 
     raise DomainError(f"unknown triangle shape {_shown(shape)}")
 
@@ -391,8 +402,14 @@ def _fold_sample(cells: dict, violations: list, config: FuzzConfig,
         return [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [M.x, M.y]
 
     for inequality, label, slack in slacks:
+        key = f"{inequality}/{label}"
         violated = slack < -tol
-        _fold_cell(cells, f"{inequality}/{label}", 1, violated, slack, index, where)
+        cell = cells.get(key)
+        # A report that moves no minimum and is no violation only counts.
+        if cell is not None and not violated and not slack < cell["min_slack"]:
+            cell["count"] += 1
+            continue
+        _fold_cell(cells, key, 1, violated, slack, index, where)
         if violated:
             triangle, point = where()
             violations.append(

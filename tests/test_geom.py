@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 
 from barrow import DegenerateTriangle, Point2, PointFrame, Triangle, sample_point, sample_triangle
 from barrow.geom import barycentric, dist, side_coordinate, signed_area, signed_distances, vertex_distances
+from barrow.harness import TRIANGLE_SHAPES
 
 from conftest import points_in, triangles
 from oracles import point_line_distance
@@ -78,6 +79,31 @@ def test_triangle_cw_orientation():
 def test_degenerate_triangle_rejected(b, c):
     with pytest.raises(DegenerateTriangle):
         Triangle(Point2(0.0, 0.0), b, c)
+
+
+def test_triangle_fields_are_the_public_primitives():
+    # The triangle computes its sides, area and diameter inline; each must
+    # be the bits of the public primitive, and the weights their formula's.
+    rng = random.Random(29)
+    cases = [sample_triangle(rng, shape) for shape in TRIANGLE_SHAPES for _ in range(300)]
+    cases.append(Triangle(Point2(0, 0), Point2(4, 0), Point2(1, 2)))
+    cases.append(Triangle(Point2(0, 0.5), Point2(3, 0), Point2(1.25, 2)))
+    for t in cases:
+        A, B, C = t.vertices
+        a, b, c = dist(B, C), dist(C, A), dist(A, B)
+        area = signed_area(A, B, C)
+        expected = (a, b, c, area, max(a, b, c), 1.0 if area > 0.0 else -1.0,
+                    c / b + b / c, c / a + a / c, a / b + b / a)
+        got = (t.a, t.b, t.c, t.area, t.diameter, t.orient_sign, *t.ratio_weights)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in expected], t
+
+
+def test_degenerate_triangle_message():
+    with pytest.raises(DegenerateTriangle, match=(
+        r"^triangle Point2\(x=0\.0, y=0\.0\), Point2\(x=1\.0, y=0\.0\), "
+        r"Point2\(x=2\.0, y=0\.0\) is degenerate \(\|area\|=0\.000e\+00\)$"
+    )):
+        Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0))
 
 
 def test_barely_valid_triangle_accepted():

@@ -101,6 +101,37 @@ def test_sample_triangle_unknown_shape():
         sample_triangle(random.Random(0), "isoceles-ish")
 
 
+@pytest.mark.parametrize("shape,options,message", [
+    ("near-degenerate", {"height_band": (0.0, 1e-3)}, r"height_band ends must be positive, got \(0\.0, 0\.001\)"),
+    ("near-degenerate", {"height_band": (-1, 1)}, r"height_band ends must be positive, got \(-1, 1\)"),
+    ("near-degenerate", {"height_band": (float("nan"), 1)}, r"height_band end must be finite, got nan"),
+    ("near-degenerate", {"height_band": (1e-9, "x")},
+     r"height_band end must be an int or a float, got 'x'"),
+    ("equilateral-perturbed", {"perturbation": float("nan")}, r"perturbation must be finite, got nan"),
+    ("equilateral-perturbed", {"perturbation": float("inf")}, r"perturbation must be finite, got inf"),
+    ("equilateral-perturbed", {"perturbation": 10**400},
+     r"perturbation must be finite, got 1" + "0" * 400),
+    ("equilateral-perturbed", {"perturbation": "x"},
+     r"perturbation must be an int or a float, got 'x'"),
+])
+def test_sample_triangle_refuses_bad_parameters(shape, options, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sample_triangle(random.Random(0), shape, **options)
+
+
+def test_sample_triangle_checks_only_the_parameters_its_shape_reads():
+    # A reversed band draws as before; a shape that does not read a
+    # parameter does not check it.
+    t = sample_triangle(random.Random(4), "near-degenerate", height_band=(1e-3, 1e-9))
+    assert 2.0 * abs(t.area) / t.diameter ** 2 < 2e-3
+    for shape in TRIANGLE_SHAPES:
+        options = {"perturbation": float("nan")} if shape != "equilateral-perturbed" else {}
+        if shape != "near-degenerate":
+            options["height_band"] = (0.0, 1e-3)
+        t = sample_triangle(random.Random(6), shape, **options)
+        assert t.vertices == sample_triangle(random.Random(6), shape).vertices
+
+
 @pytest.mark.parametrize("target", [r for r in STRATA if r not in ("sideline", "near-vertex")])
 def test_sample_point_hits_region(target):
     rng = random.Random(17)
@@ -202,6 +233,57 @@ def test_pick_stratum_never_draws_a_zero_share_stratum():
     table = harness._stratum_table(DEFAULT_REGION_MIX)
     assert [name for _, name in table] == list(STRATA)
     assert harness._pick_stratum(_fixed_draw(0.9999999999999999), table) == "near-vertex"
+
+
+def test_fold_counts_a_plain_report_as_its_cell_fold_would(monkeypatch):
+    # A scripted sampler feeds the reports no pinned fuzz produces: ties, NaN
+    # slacks, violations above the minimum, a minimum after a NaN and -inf.
+    # Folding each report through _fold_cell must give the same cells and
+    # violations, the earliest index keeping a tied minimum.
+    nan, inf = float("nan"), float("inf")
+    signed, dergiades = ("SignedBarrow30", "lambda0"), ("Dergiades3", "lambda0")
+    script = [
+        [(*signed, 0.5), (*dergiades, nan)],
+        [(*signed, 0.5), (*dergiades, 0.25)],
+        [(*signed, nan), (*dergiades, nan)],
+        [(*signed, -1.0)],
+        [(*signed, -0.5)],
+        [(*signed, nan), (*dergiades, 0.125)],
+        [(*signed, -inf), (*dergiades, 0.125)],
+        [(*signed, 0.5)],
+        [(*signed, -inf)],
+    ]
+    drawn = []
+
+    def scripted(rng, T, stratum, point):
+        M = Point2(float(len(drawn)), 0.0)
+        drawn.append((T, M))
+        return M, (1.0, script[len(drawn) - 1])
+
+    monkeypatch.setattr(harness, "_sample", scripted)
+    config = FuzzConfig(n=len(script), seed=1)
+    cells, violations = harness._chunk_aggregate(config, 0, config.n)
+
+    tol = config.tol_factor * 1.0
+    ref_cells, ref_violations = {}, []
+    for index, ((T, M), slacks) in enumerate(zip(drawn, script)):
+        triangle, point = [[T.A.x, T.A.y], [T.B.x, T.B.y], [T.C.x, T.C.y]], [M.x, M.y]
+        for inequality, label, slack in slacks:
+            violated = slack < -tol
+            harness._fold_cell(ref_cells, f"{inequality}/{label}", 1, violated, slack, index,
+                               lambda: (triangle, point))
+            if violated:
+                ref_violations.append({"index": index, "inequality": inequality, "region": label,
+                                       "slack": slack, "tol": tol, "triangle": triangle,
+                                       "point": point})
+    assert cells == ref_cells
+    assert violations == ref_violations
+    signed_cell, dergiades_cell = cells["SignedBarrow30/lambda0"], cells["Dergiades3/lambda0"]
+    assert (signed_cell["count"], signed_cell["violation_count"]) == (9, 4)
+    assert (signed_cell["min_slack"], signed_cell["argmin_index"]) == (-inf, 6)
+    assert (dergiades_cell["count"], dergiades_cell["violation_count"]) == (5, 0)
+    assert (dergiades_cell["min_slack"], dergiades_cell["argmin_index"]) == (0.125, 5)
+    assert [v["index"] for v in violations] == [3, 4, 6, 8]
 
 
 def test_fuzz_no_violations_small():
